@@ -25,7 +25,6 @@ from .jsonio import (
 from .linalg import format_rat, rat
 from .packing import maximize, realize
 from .perturb import (
-    DEFAULT_SEED,
     PerturbationError,
     ScanError,
     safe_radius_estimate,
@@ -86,7 +85,7 @@ def cmd_info(args) -> int:
     doc = info_report(D, name)
     if args.safe_radius:
         doc["safe_radius_estimate"] = format_rat(
-            safe_radius_estimate(D, seed=args.seed)
+            safe_radius_estimate(D)
         )
     sys.stdout.write(dumps(doc))
     return 0
@@ -173,7 +172,6 @@ def build_parser() -> _Parser:
     i.add_argument("spec")
     i.add_argument("--json", action="store_true", help="accepted; info is always JSON")
     i.add_argument("--safe-radius", action="store_true", dest="safe_radius")
-    i.add_argument("--seed", type=int, default=DEFAULT_SEED)
     i.set_defaults(func=cmd_info)
 
     k = sub.add_parser("pack", help="maximal packing density and maximizers")

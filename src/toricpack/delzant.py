@@ -27,8 +27,7 @@ from .polytope import (
     HalfSpace,
     PolytopeError,
     VertexData,
-    enumerate_vertices,
-    remove_redundant,
+    _reduce,
     volume,
 )
 
@@ -87,12 +86,6 @@ class DelzantPolytope:
     def num_vertices(self) -> int:
         return len(self.vdata.vertices)
 
-    @property
-    def euler_characteristic(self) -> int:
-        """Vertex count; equals the Euler characteristic of the associated
-        toric manifold."""
-        return len(self.vdata.vertices)
-
     @cached_property
     def euclidean_volume(self) -> Fraction:
         return volume(self.hrep, self.vdata)
@@ -114,8 +107,12 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
     The input is reduced first; failures raise :class:`NotDelzantError`
     naming the first violating vertex in lexicographic vertex order.
     """
-    reduced = remove_redundant(P)
-    vd = enumerate_vertices(reduced)
+    return _validate_reduced(*_reduce(P, with_edges=True))
+
+
+def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
+    """:func:`validate_delzant` on a minimal H-representation whose vertex
+    data, edges included, is already known."""
     n = reduced.dim
     nverts = len(vd.vertices)
 
@@ -169,11 +166,6 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
         bounds.append(tuple(row))
 
     return DelzantPolytope(reduced, vd, tuple(frames), tuple(radii), tuple(bounds))
-
-
-def corner_radius(D: DelzantPolytope, i: int) -> Fraction:
-    """Largest admissible radius at vertex i (minimum edge length there)."""
-    return D.corner_radii[i]
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,42 @@ def hrep_to_json(P: HPolytope) -> dict[str, Any]:
     }
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _offset(value: Any, k: int) -> Fraction:
+    """A JSON integer or a string such as "-9/10"; nothing else."""
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecFileError(
+        f"halfspace {k}: offset must be an integer or a rational string, got {value!r}"
+    )
+
+
 def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
+    """Parse {"dim": n, "halfspaces": [{"normal": [...], "offset": ...}]}.
+
+    ``dim`` and the normal entries must be JSON integers (booleans are
+    refused); offsets are read by :func:`_offset`.
+    """
     try:
-        dim = int(doc["dim"])
-        rows = [
-            HalfSpace(tuple(int(c) for c in h["normal"]), rat(h["offset"]))
-            for h in doc["halfspaces"]
-        ]
+        dim = doc["dim"]
+        if not _is_int(dim):
+            raise SpecFileError(f"dim must be an integer, got {dim!r}")
+        rows = []
+        for k, h in enumerate(doc["halfspaces"]):
+            normal = tuple(h["normal"])
+            if not all(_is_int(c) for c in normal):
+                raise SpecFileError(
+                    f"halfspace {k}: normal entries must be integers, got {h['normal']!r}"
+                )
+            rows.append(HalfSpace(normal, _offset(h["offset"], k)))
     except (KeyError, TypeError) as exc:
         raise SpecFileError(f"malformed H-representation: {exc}") from exc
     return HPolytope(dim, tuple(rows))
@@ -159,7 +188,7 @@ def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
         {
             "dim": D.dim,
             "num_facets": D.hrep.num_facets,
-            "euler_characteristic": D.euler_characteristic,
+            "euler_characteristic": D.num_vertices,
             "volume": format_rat(D.euclidean_volume),
             "halfspaces": hrep_to_json(D.hrep)["halfspaces"],
             "vertices": [[format_rat(c) for c in v] for v in D.vertices],

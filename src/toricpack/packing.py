@@ -12,13 +12,14 @@ cross-check of the constraint description.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delzant import DelzantPolytope
 from .linalg import IntVec, Vec, as_vec, dot, mat_inverse, vec_add
-from .polytope import HalfSpace, HPolytope, intersect, vertex_set, volume
+from .polytope import HalfSpace, HPolytope, contains, intersect, vertex_set, volume
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,6 @@ def build_packing_polytope(D: DelzantPolytope) -> PackingPolytope:
     return PackingPolytope(D, HPolytope(V, tuple(rows)))
 
 
-def is_feasible(PP: PackingPolytope, x) -> bool:
-    pt = as_vec(x)
-    if len(pt) != PP.num_centers:
-        raise ValueError("radii vector length mismatch")
-    return all(h.eval_at(pt) >= 0 for h in PP.hrep.halfspaces)
-
-
 def density(D: DelzantPolytope, x) -> Fraction:
     """Packed volume fraction sum(x_i^n) / (n! vol) of a radii vector."""
     pt = as_vec(x)
@@ -108,8 +102,8 @@ def density(D: DelzantPolytope, x) -> Fraction:
     return sum(c**n for c in pt) / (math.factorial(n) * D.euclidean_volume)
 
 
-def _pruned_constraint_system(D: DelzantPolytope) -> HPolytope:
-    """Equivalent reduced system used for vertex enumeration.
+def packing_polytope_vertices(D: DelzantPolytope) -> tuple[Vec, ...]:
+    """All vertices of the packing polytope, lexicographically sorted.
 
     A pair constraint with bound >= r_i + r_j is implied: the minimal edge
     at vertex i gives x_i + x_k <= r_i with x_k >= 0, hence x_i <= r_i, and
@@ -118,22 +112,12 @@ def _pruned_constraint_system(D: DelzantPolytope) -> HPolytope:
     """
     V = D.num_vertices
     r = D.corner_radii
-    rows: list[HalfSpace] = []
-    for i in range(V):
-        rows.append(HalfSpace(tuple(int(k == i) for k in range(V)), 0))
-    for i in range(V):
-        for j in range(i + 1, V):
-            bound = D.pair_bounds[i][j]
-            if bound >= r[i] + r[j]:
-                continue
-            normal = tuple(-int(k == i) - int(k == j) for k in range(V))
-            rows.append(HalfSpace(normal, -bound))
-    return HPolytope(V, tuple(rows))
-
-
-def packing_polytope_vertices(D: DelzantPolytope, method: str = "auto") -> tuple[Vec, ...]:
-    """All vertices of the packing polytope, lexicographically sorted."""
-    return vertex_set(_pruned_constraint_system(D), method)
+    rows = build_packing_polytope(D).hrep.halfspaces
+    pairs = itertools.combinations(range(V), 2)
+    needed = tuple(
+        h for (i, j), h in zip(pairs, rows[V:]) if D.pair_bounds[i][j] < r[i] + r[j]
+    )
+    return vertex_set(HPolytope(V, rows[:V] + needed))
 
 
 def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
@@ -161,7 +145,7 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
 def realize(D: DelzantPolytope, x) -> tuple[AdmissibleSimplex, ...]:
     """Admissible simplices of a feasible radii vector (positive radii only)."""
     pt = as_vec(x)
-    if not is_feasible(build_packing_polytope(D), pt):
+    if not contains(build_packing_polytope(D).hrep, pt):
         raise ValueError("not a packing")
     return tuple(
         admissible_simplex(D, i, c) for i, c in enumerate(pt) if c > 0

@@ -10,19 +10,20 @@ discrete concavity/convexity certificates checked here in exact arithmetic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delzant import (
     DelzantPolytope,
     NotDelzantError,
+    _validate_reduced,
     same_fan,
-    validate_delzant,
 )
 from .linalg import (
     Vec,
     as_vec,
+    dot,
+    mat_inverse,
     nthroot_bounds,
     nthroot_decimal,
     rational_nthroot,
@@ -35,10 +36,8 @@ from .polytope import (
     EmptyPolytopeError,
     HPolytope,
     HalfSpace,
-    remove_redundant,
+    _reduce,
 )
-
-DEFAULT_SEED = 1729
 
 
 class PerturbationError(ValueError):
@@ -74,7 +73,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         ),
     )
     try:
-        reduced = remove_redundant(raw)
+        reduced, vd = _reduce(raw, with_edges=True)
     except EmptyPolytopeError as exc:
         raise PerturbationError("empty", str(exc)) from exc
     except DegeneratePolytopeError as exc:
@@ -85,7 +84,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             f"{len(raw.halfspaces) - len(reduced.halfspaces)} facet(s) became redundant",
         )
     try:
-        D = validate_delzant(reduced)
+        D = _validate_reduced(reduced, vd)
     except NotDelzantError as exc:
         raise PerturbationError("not Delzant", str(exc)) from exc
     if not same_fan(D, base):
@@ -101,64 +100,28 @@ def is_admissible(base: DelzantPolytope, s) -> bool:
     return True
 
 
-def _probe_directions(base: DelzantPolytope, rng: random.Random) -> list[Vec]:
-    """Max-norm-one probe directions: coordinate axes, the all-ones
-    diagonals, and 2F seeded random rational directions."""
-    F = base.hrep.num_facets
-    dirs: list[Vec] = []
-    for i in range(F):
-        e = tuple(Fraction(int(i == j)) for j in range(F))
-        dirs.append(e)
-        dirs.append(vec_scale(-1, e))
-    ones = tuple(Fraction(1) for _ in range(F))
-    dirs.append(ones)
-    dirs.append(vec_scale(-1, ones))
-    while len(dirs) < 4 * F + 2:
-        cand = tuple(
-            Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(F)
-        )
-        m = max(abs(c) for c in cand)
-        if m == 0:
-            continue
-        dirs.append(vec_scale(1 / m, cand))
-    return dirs
+def safe_radius_estimate(base: DelzantPolytope) -> Fraction:
+    """Exact admissibility radius of the offsets in the max-norm.
 
-
-def safe_radius_estimate(
-    base: DelzantPolytope, seed: int | None = None, iterations: int = 14
-) -> Fraction:
-    """Conservative admissibility radius in the max-norm.
-
-    Bisects on rho so that every probe direction scaled to max-norm rho is
-    admissible.  Along a fixed ray admissibility holds on an interval
-    [0, rho_max), so per-direction bisection is sound.  The result is a
-    sampled lower-bound heuristic, never claimed exact; downstream code
-    revalidates every parameter it actually uses.
+    The bound is open: every offset s with max|s^i| strictly below the
+    returned radius is admissible, and some offset with max|s^i| equal to
+    it is not.  At the vertex with active facets I the normals N_I form a
+    unimodular matrix, and the vertex moves as v_I(s) = N_I^-1 (lambda_I +
+    s_I).  The slack of another facet j there is c + a . s_I - s^j, with c
+    its slack at the base vertex and a = u_j N_I^-1 (integral).  It stays
+    positive for all max|s^i| < rho exactly when rho <= c / (|a|_1 + 1);
+    the radius is the least such bound over all vertices and facets.
     """
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    dirs = _probe_directions(base, rng)
-
-    def passes(rho: Fraction) -> bool:
-        return all(is_admissible(base, vec_scale(rho, d)) for d in dirs)
-
-    hi = min(base.corner_radii)
-    if passes(hi):
-        return hi
-    lo = hi / 2
-    guard = 0
-    while not passes(lo):
-        hi = lo
-        lo = lo / 2
-        guard += 1
-        if guard > 200:
-            raise ArithmeticError("no admissible radius found")
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    halfspaces = base.hrep.halfspaces
+    bounds: list[Fraction] = []
+    for v, active in zip(base.vertices, base.vdata.incidence):
+        inv = mat_inverse([halfspaces[i].normal for i in active])
+        for j, h in enumerate(halfspaces):
+            if j in active:
+                continue
+            a = [dot(h.normal, col) for col in zip(*inv)]
+            bounds.append(h.eval_at(v) / (sum(abs(c) for c in a) + 1))
+    return min(bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Exact convex polytope machinery over the rationals.
 
 Polytopes are handled in H-representation: an intersection of halfspaces
-{x : <normal, x> >= offset} with primitive integral inward normals.  Vertex
-enumeration offers two independent routes: exhaustive active-set search
-(solve every n-subset of facets and filter), and an incremental double
-description method for instances where the subset count explodes.  Both are
-exact; tests hold them equal on small inputs.
+{x : <normal, x> >= offset} with primitive integral inward normals.  Vertices
+are enumerated by the incremental double description method (Fukuda and
+Prodon 1996) on the homogenized cone, in exact integer arithmetic; the tests
+hold it equal to an exhaustive active-set search.  A polytope is enumerated
+once: reduction to the minimal H-representation hands its vertex set on to
+the incidence and edge data of the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,16 +23,11 @@ from .linalg import (
     dot,
     gcd_primitive,
     mat_det,
+    mat_inverse,
     mat_rank,
     rat,
-    solve_linear,
     vec_sub,
-    SingularMatrixError,
 )
-
-# Above this many active-set candidates the enumerator switches to the
-# double description route.
-ACTIVE_SET_LIMIT = 2000
 
 
 class PolytopeError(ValueError):
@@ -165,8 +160,7 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
     if len(basis) < dim:
         raise _LowRankCone()
 
-    bmat = [rows[i] for i in basis]
-    inv_cols = _inverse_cols(bmat)
+    inv_cols = list(zip(*mat_inverse([rows[i] for i in basis])))
     denom = math.lcm(*(f.denominator for col in inv_cols for f in col))
     rays: list[IntVec] = []
     masks: list[int] = []
@@ -240,15 +234,6 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
     return rays
 
 
-def _inverse_cols(bmat) -> list[list[Fraction]]:
-    n = len(bmat)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(list(solve_linear(bmat, e)))
-    return cols
-
-
 def _homogenized_rows(P: HPolytope) -> list[IntVec]:
     """Integer rows of the lifted cone {(x0, x) : x0 >= 0, <u,x> >= l*x0}."""
     rows: list[IntVec] = [(1,) + (0,) * P.dim]
@@ -282,11 +267,7 @@ def _cone_vertices_and_rays(P: HPolytope) -> tuple[list[Vec], list[IntVec]]:
     except _LowRankCone:
         # Quotient by the lineality space: parametrize x = B^T y with B a
         # row-space basis; the x0 coordinate descends to the quotient.
-        basis_rows: list[IntVec] = []
-        for row in rows:
-            cand = basis_rows + [row]
-            if mat_rank(cand) > len(basis_rows):
-                basis_rows.append(row)
+        basis_rows = [rows[i] for i in _greedy_row_basis(rows, d)]
         r = len(basis_rows)
         projected = [
             tuple(dot(row, b) for b in basis_rows) for row in rows
@@ -309,34 +290,19 @@ def _cone_vertices_and_rays(P: HPolytope) -> tuple[list[Vec], list[IntVec]]:
     return verts, recession
 
 
-def _recession_nontrivial(P: HPolytope) -> bool:
-    """True iff the recession cone {x : <u_i, x> >= 0} contains a ray."""
-    rows = [h.normal for h in P.halfspaces]
-    if mat_rank(rows) < P.dim:
-        return True
-    return bool(_dd_rays(_insertion_order(rows), P.dim))
-
-
 # ---------------------------------------------------------------------------
 # Vertex enumeration.
 
 
-def _vertices_active_set(P: HPolytope) -> list[Vec]:
-    n = P.dim
-    found: set[Vec] = set()
-    for combo in itertools.combinations(range(P.num_facets), n):
-        rows = [P.halfspaces[i].normal for i in combo]
-        rhs = [P.halfspaces[i].offset for i in combo]
-        try:
-            x = solve_linear(rows, rhs)
-        except SingularMatrixError:
-            continue
-        if all(h.eval_at(x) >= 0 for h in P.halfspaces):
-            found.add(x)
-    return list(found)
+def vertex_set(P: HPolytope) -> tuple[Vec, ...]:
+    """All vertices of a bounded polytope, lexicographically sorted.
 
-
-def _vertices_dd(P: HPolytope) -> list[Vec]:
+    Raises on empty or unbounded input.  Use this when the combinatorial
+    structure is not needed: it skips the per-vertex facet scans, which
+    dominate on polytopes with many vertices.
+    """
+    if P.num_facets == 0:
+        raise UnboundedPolytopeError("unbounded polytope")
     verts, recession = _cone_vertices_and_rays(P)
     # A pointed lifted cone with no ray at x0 > 0 has no x0 > 0 points at
     # all, so emptiness takes precedence over leftover recession rays.
@@ -344,52 +310,24 @@ def _vertices_dd(P: HPolytope) -> list[Vec]:
         raise EmptyPolytopeError("empty polytope")
     if recession:
         raise UnboundedPolytopeError("unbounded polytope")
-    return verts
-
-
-def vertex_set(P: HPolytope, method: str = "auto") -> tuple[Vec, ...]:
-    """Sorted vertex tuple without incidence or edge data.
-
-    Same enumeration routes as :func:`enumerate_vertices`; use this when the
-    combinatorial structure is not needed (it skips the per-vertex facet
-    scans, which dominate on polytopes with many vertices).
-    """
-    if P.num_facets == 0:
-        raise UnboundedPolytopeError("unbounded polytope")
-    if method == "auto":
-        method = (
-            "active-set"
-            if math.comb(P.num_facets, P.dim) <= ACTIVE_SET_LIMIT
-            else "double-description"
-        )
-    if method == "active-set":
-        verts = _vertices_active_set(P)
-        if not verts:
-            verts = _vertices_dd(P)
-        elif _recession_nontrivial(P):
-            raise UnboundedPolytopeError("unbounded polytope")
-    elif method == "double-description":
-        verts = _vertices_dd(P)
-    else:
-        raise ValueError(f"unknown enumeration method: {method!r}")
     return tuple(sorted(verts))
 
 
-def enumerate_vertices(
-    P: HPolytope, method: str = "auto", with_edges: bool = True
-) -> VertexData:
-    """All vertices of a bounded polytope, lexicographically sorted.
+def enumerate_vertices(P: HPolytope, with_edges: bool = True) -> VertexData:
+    """All vertices of a bounded polytope, lexicographically sorted, with
+    facet incidence and (unless ``with_edges`` is false) edges.  Raises on
+    empty or unbounded input."""
+    verts = vertex_set(P)
+    incidence = _incidence(P, verts)
+    edges = _edges_from_incidence(P, verts, incidence) if with_edges else ()
+    return VertexData(verts, incidence, tuple(edges))
 
-    ``method`` is "active-set", "double-description", or "auto" (active-set
-    while C(F, n) stays small).  Raises on empty or unbounded input.
-    """
-    verts = vertex_set(P, method)
-    incidence = tuple(
+
+def _incidence(P: HPolytope, verts) -> tuple[tuple[int, ...], ...]:
+    return tuple(
         tuple(i for i, h in enumerate(P.halfspaces) if h.eval_at(v) == 0)
         for v in verts
     )
-    edges = _edges_from_incidence(P, verts, incidence) if with_edges else ()
-    return VertexData(verts, incidence, tuple(edges))
 
 
 def _edges_from_incidence(P, verts, incidence) -> list[tuple[int, int]]:
@@ -406,24 +344,43 @@ def _edges_from_incidence(P, verts, incidence) -> list[tuple[int, int]]:
     return edges
 
 
-def remove_redundant(P: HPolytope) -> HPolytope:
-    """Minimal H-representation: keep exactly the halfspaces supporting a
-    facet (a tight vertex set of affine rank dim - 1)."""
-    vd = enumerate_vertices(P, with_edges=False)
-    if affine_rank(vd.vertices) < P.dim:
+def _reduce(
+    P: HPolytope, with_edges: bool = False, verts: tuple[Vec, ...] | None = None
+) -> tuple[HPolytope, VertexData]:
+    """Minimal H-representation of P and its vertex data, from one
+    enumeration of P (or from ``verts``, P's vertex set, when given).
+
+    Keeps exactly the halfspaces supporting a facet (a tight vertex set of
+    affine rank dim - 1), the first of any duplicates, in input order.  The
+    reduced polytope is the same set, so P's vertices are its vertices, and
+    its incidence is P's renumbered.
+    """
+    if verts is None:
+        verts = vertex_set(P)
+    if affine_rank(verts) < P.dim:
         raise DegeneratePolytopeError("degenerate polytope")
-    keep: list[HalfSpace] = []
+    incidence = _incidence(P, verts)
+    kept: dict[int, int] = {}  # index in P -> index in the reduced polytope
     seen: set[tuple] = set()
     for i, h in enumerate(P.halfspaces):
-        tight = [v for v, inc in zip(vd.vertices, vd.incidence) if i in inc]
+        tight = [v for v, inc in zip(verts, incidence) if i in inc]
         if affine_rank(tight) != P.dim - 1:
             continue
         key = (h.normal, h.offset)
         if key in seen:
             continue
         seen.add(key)
-        keep.append(h)
-    return HPolytope(P.dim, tuple(keep))
+        kept[i] = len(kept)
+    reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
+    incidence = tuple(tuple(kept[i] for i in inc if i in kept) for inc in incidence)
+    edges = _edges_from_incidence(reduced, verts, incidence) if with_edges else ()
+    return reduced, VertexData(verts, incidence, tuple(edges))
+
+
+def remove_redundant(P: HPolytope) -> HPolytope:
+    """Minimal H-representation: keep exactly the halfspaces supporting a
+    facet (a tight vertex set of affine rank dim - 1)."""
+    return _reduce(P)[0]
 
 
 def contains(P: HPolytope, x) -> bool:
@@ -510,9 +467,9 @@ def intersect(P: HPolytope, Q: HPolytope) -> Intersection:
         raise ValueError("ambient dimension mismatch")
     combined = HPolytope(P.dim, P.halfspaces + Q.halfspaces)
     try:
-        vd = enumerate_vertices(combined, with_edges=False)
+        verts = vertex_set(combined)
     except EmptyPolytopeError:
         return Intersection((), -1, combined)
-    dim = affine_rank(vd.vertices)
-    hrep = remove_redundant(combined) if dim == P.dim else combined
-    return Intersection(vd.vertices, dim, hrep)
+    dim = affine_rank(verts)
+    hrep = _reduce(combined, verts=verts)[0] if dim == P.dim else combined
+    return Intersection(verts, dim, hrep)

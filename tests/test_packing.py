@@ -9,12 +9,11 @@ from toricpack.packing import (
     build_packing_polytope,
     density,
     disjointness_oracle,
-    is_feasible,
     maximize,
     packing_polytope_vertices,
     realize,
 )
-from toricpack.polytope import vertex_set
+from toricpack.polytope import contains, vertex_set
 
 F = Fraction
 
@@ -105,7 +104,7 @@ class TestMaximize:
             assert len(set(radii)) == len(radii)
             PP = build_packing_polytope(D)
             for p in packs:
-                assert is_feasible(PP, p.radii)
+                assert contains(PP.hrep, p.radii)
                 assert p.density == best
                 assert disjointness_oracle(D, p.radii)
 
@@ -189,7 +188,7 @@ class TestDisjointness:
             PP = build_packing_polytope(D)
             steps = [F(0), F(1, 2), F(1)]
             for pt in itertools.product(steps, repeat=D.num_vertices):
-                assert is_feasible(PP, pt) == disjointness_oracle(D, pt)
+                assert contains(PP.hrep, pt) == disjointness_oracle(D, pt)
 
 
 class TestSkewFrames:

@@ -1,9 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from toricpack.delzant import make_cube, same_fan, scale, translate
+from toricpack.delzant import (
+    make_chopped_simplex,
+    make_cube,
+    same_fan,
+    scale,
+    translate,
+)
 from toricpack.perturb import (
     PerturbationError,
     ScanError,
@@ -92,10 +99,36 @@ class TestSafeRadius:
     def test_simplex_positive(self, simplex2):
         assert safe_radius_estimate(simplex2) > 0
 
-    def test_seed_reproducible(self, square):
-        assert safe_radius_estimate(square, seed=7) == safe_radius_estimate(
-            square, seed=7
-        )
+    def test_exact_values(self, square, prism, pentagon):
+        assert safe_radius_estimate(square) == F(1, 2)
+        assert safe_radius_estimate(prism) == F(1, 3)
+        assert safe_radius_estimate(make_cube(3)) == F(1, 2)
+        assert safe_radius_estimate(pentagon) == F(1, 30)
+        chopped3 = make_chopped_simplex(F(1, 10), F(1, 5), 3)
+        assert safe_radius_estimate(chopped3) == F(1, 40)
+        pentagon20 = make_chopped_simplex(F(1, 20), F(1, 20))
+        assert safe_radius_estimate(pentagon20) == F(1, 60)
+
+    def test_open_bound(self, square, prism, pentagon):
+        # Every sign vector just inside the radius is admissible; some sign
+        # vector on it is not.
+        for D in (square, prism, pentagon):
+            rho = safe_radius_estimate(D)
+            signs = list(itertools.product((1, -1), repeat=D.hrep.num_facets))
+            inside = [tuple(F(99, 100) * rho * c for c in sv) for sv in signs]
+            assert all(is_admissible(D, s) for s in inside)
+            on = [tuple(rho * c for c in sv) for sv in signs]
+            assert not all(is_admissible(D, s) for s in on)
+
+    def test_pentagon_regression(self, pentagon):
+        # The radius was once estimated at 23831/327680 > 1/25 by sampling
+        # directions; this offset of max-norm 1/25 loses a facet.
+        rho = F(1, 30)
+        signs = itertools.product((1, -1), repeat=5)
+        rejected = [sv for sv in signs if not is_admissible(pentagon, [rho * c for c in sv])]
+        assert len(rejected) == 7
+        with pytest.raises(PerturbationError, match="lost facet"):
+            perturb(pentagon, (F(1, 25), 0, F(1, 25), 0, F(-1, 25)))
 
 
 class TestHomothety:

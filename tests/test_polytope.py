@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricpack.polytope
+from reference import brute_force_vertex_set
+from toricpack.delzant import validate_delzant
 from toricpack.linalg import mat_rank, vec_add, vec_scale
+from toricpack.perturb import perturb
 from toricpack.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -112,14 +116,12 @@ class TestEnumerate:
             cross_polytope(3),
             cross_polytope(4),
         ):
-            a = vertex_set(P, "active-set")
-            d = vertex_set(P, "double-description")
-            assert a == d
+            assert vertex_set(P) == brute_force_vertex_set(P)
 
     def test_octahedron_degenerate_vertices(self):
         # Every vertex of the 3-cross-polytope lies on four facets, a
         # degenerate case stressing the adjacency bookkeeping.
-        vd = enumerate_vertices(cross_polytope(3), method="double-description")
+        vd = enumerate_vertices(cross_polytope(3))
         assert len(vd.vertices) == 6
         assert all(len(inc) == 4 for inc in vd.incidence)
         assert len(vd.edges) == 12
@@ -170,12 +172,12 @@ class TestEnumerationOracle:
     @settings(max_examples=30, deadline=None)
     def test_double_description_matches_brute_force(self, P):
         try:
-            brute = vertex_set(P, "active-set")
+            brute = brute_force_vertex_set(P)
         except EmptyPolytopeError:
             with pytest.raises(EmptyPolytopeError):
-                vertex_set(P, "double-description")
+                vertex_set(P)
             return
-        assert vertex_set(P, "double-description") == brute
+        assert vertex_set(P) == brute
 
     def test_hull_roundtrip_idempotent(self):
         # Rebuild an H-representation from the vertex set via polar duality
@@ -332,3 +334,34 @@ class TestIntersect:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             intersect(unit_square(), std_simplex(3))
+
+
+class TestOneEnumeration:
+    """Reduction hands its vertex set on, so each polytope is enumerated once."""
+
+    @pytest.fixture()
+    def enumerated(self, monkeypatch):
+        seen = []
+        original = toricpack.polytope.vertex_set
+
+        def counted(P):
+            seen.append(P)
+            return original(P)
+
+        monkeypatch.setattr(toricpack.polytope, "vertex_set", counted)
+        return seen
+
+    def test_validate_delzant(self, pentagon, enumerated):
+        validate_delzant(pentagon.hrep)
+        assert len(enumerated) == 1
+
+    def test_perturb(self, pentagon, enumerated):
+        perturb(pentagon, (0,) * 5)
+        assert len(enumerated) == 1
+
+    def test_intersect(self, enumerated):
+        Q = hpolytope(
+            2, [((1, 0), F(1, 2)), ((0, 1), 0), ((-1, 0), F(-3, 2)), ((0, -1), -1)]
+        )
+        assert intersect(unit_square(), Q).affine_dim == 2
+        assert len(enumerated) == 1
