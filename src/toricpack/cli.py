@@ -16,7 +16,7 @@ from .jsonio import (
     dumps,
     generator_polytope,
     info_report,
-    load_spec_document,
+    load_spec_file,
     pack_report,
     scan_csv,
     scan_summary,
@@ -43,12 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return load_spec_document(doc)
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -58,7 +52,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    name, D = _load(args.spec)
+    name, D = load_spec_file(args.spec)
     if args.json:
         doc = {
             "valid": True,
@@ -81,7 +75,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    name, D = _load(args.spec)
+    name, D = load_spec_file(args.spec)
     doc = info_report(D, name)
     if args.safe_radius:
         doc["safe_radius_estimate"] = format_rat(
@@ -105,7 +99,7 @@ def _render_svg(D, packing) -> str:
 
 
 def cmd_pack(args) -> int:
-    name, D = _load(args.spec)
+    name, D = load_spec_file(args.spec)
     max_density, packings = maximize(D)
     doc = pack_report(D, max_density, packings, name, all_maximizers=args.all)
     if args.render:
@@ -126,7 +120,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _, D = _load(args.base)
+    _, D = load_spec_file(args.base)
     with open(args.dir, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "s2" not in doc:
@@ -151,7 +145,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_render(args) -> int:
-    name, D = _load(args.spec)
+    name, D = load_spec_file(args.spec)
     if D.dim != 2:
         raise PolytopeError("SVG rendering needs a planar polytope")
     _, packings = maximize(D)

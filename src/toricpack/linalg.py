@@ -89,28 +89,59 @@ def primitive_direction(d: Sequence[Fraction]) -> tuple[IntVec, Fraction]:
     return u, Fraction(g, denom)
 
 
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Returns ``(reduced, pivots, d)``: ``reduced`` is d times the reduced row
+    echelon form, so row k holds d at column ``pivots[k]`` and 0 at every
+    other pivot column, and rows past ``len(pivots)`` are zero.  Every
+    division is exact.  A row swap negates the row moved down, so for a
+    nonsingular square input the last pivot d is its determinant.
+    """
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    d = 1
+    for c in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        if k == len(a):
+            break
+        piv = next((r for r in range(k, len(a)) if a[r][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], [-x for x in a[k]]
+        top = a[k]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[c]
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(c)
+        d = p
+    return a, pivots, d
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    scales."""
+    out = []
+    scale = 1
+    for r in rows:
+        q = [rat(c) for c in r]
+        m = math.lcm(*(x.denominator for x in q))
+        out.append([x.numerator * (m // x.denominator) for x in q])
+        scale *= m
+    return out, scale
+
+
 def mat_det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by Gaussian elimination with exact pivoting."""
+    """Exact determinant."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    a = [list(map(rat, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+    a, scale = _integer_rows(rows)
+    _, pivots, d = bareiss(a)
+    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
 def is_unimodular(rows: Sequence[Sequence[int]]) -> bool:
@@ -124,54 +155,16 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_linear requires a square system")
-    a = [list(map(rat, r)) + [rat(b)] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("degenerate system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
-
-
-def mat_inverse(rows: Sequence[Sequence]) -> Mat:
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_linear(rows, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    a, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced, pivots, d = bareiss(a)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("degenerate system")
+    return tuple(Fraction(r[n], d) for r in reduced)
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank via row reduction."""
-    a = [list(map(rat, r)) for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == len(a):
-            break
-    return rank
+    """Exact rank."""
+    return len(bareiss(_integer_rows(rows)[0])[1])
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delzant import DelzantPolytope
-from .linalg import IntVec, Vec, as_vec, dot, mat_inverse, vec_add
+from .linalg import IntVec, Vec, as_vec, vec_add
 from .polytope import HalfSpace, HPolytope, contains, intersect, vertex_set, volume
 
 
@@ -153,47 +153,39 @@ def realize(D: DelzantPolytope, x) -> tuple[AdmissibleSimplex, ...]:
 
 
 def admissible_simplex(D: DelzantPolytope, i: int, radius) -> AdmissibleSimplex:
-    """The unique admissible simplex of the given radius at vertex i."""
+    """The unique admissible simplex of the given radius at vertex i.
+
+    The frame F at a Delzant vertex is the inverse of the active facet
+    normals N_I (rows in facet order): the edge leaving facet f lies on
+    every other active facet and meets f at lattice distance 1.  So the
+    model coordinates of x are N_I (x - v), and the hull is x_k >= 0 on
+    each active facet plus the outer facet sum_k x_k <= radius, whose
+    normal is minus the sum of the active normals.
+    """
     r = Fraction(radius)
     if r < 0 or r > D.corner_radii[i]:
         raise ValueError(
             f"radius {r} outside [0, {D.corner_radii[i]}] at vertex {i}"
         )
-    frame = D.frames[i]
-    v = D.vertices[i]
+    active = [D.hrep.halfspaces[f] for f in D.vdata.incidence[i]]
     n = D.dim
-    inv = mat_inverse(frame.matrix())
-    if any(c.denominator != 1 for row in inv for c in row):
-        raise ArithmeticError("frame inverse not integral; validation broken")
-    rows: list[HalfSpace] = []
-    for k in range(n):
-        # Row k of the inverse frame: the model coordinate x_k >= 0.
-        normal = tuple(int(c) for c in inv[k])
-        rows.append(HalfSpace(normal, dot(normal, v)))
-    outer = tuple(-sum(int(inv[k][c]) for k in range(n)) for c in range(n))
-    rows.append(HalfSpace(outer, dot(outer, v) - r))
+    outer = tuple(-sum(h.normal[c] for h in active) for c in range(n))
+    rows = active + [HalfSpace(outer, -sum(h.offset for h in active) - r)]
     return AdmissibleSimplex(
         center_index=i,
         radius=r,
-        frame_columns=frame.directions,
-        center=v,
+        frame_columns=D.frames[i].directions,
+        center=D.vertices[i],
         hull=HPolytope(n, tuple(rows)),
         outer_facet_index=n,
     )
 
 
-def simplices_disjoint(
-    D: DelzantPolytope, i: int, xi, j: int, xj
-) -> bool:
-    """Exact disjointness of two half-open admissible simplices.
-
-    The closed hulls are intersected exactly; the half-open simplices are
+def _half_open_disjoint(si: AdmissibleSimplex, sj: AdmissibleSimplex) -> bool:
+    """The closed hulls are intersected exactly; the half-open simplices are
     disjoint iff the intersection is empty or lies inside the excluded
     outer facet hyperplane of either simplex (a convex set contained in a
-    union of two hyperplanes lies in one of them).
-    """
-    si = admissible_simplex(D, i, xi)
-    sj = admissible_simplex(D, j, xj)
+    union of two hyperplanes lies in one of them)."""
     overlap = intersect(si.hull, sj.hull)
     if overlap.is_empty:
         return True
@@ -202,6 +194,13 @@ def simplices_disjoint(
         if all(h.eval_at(v) == 0 for v in overlap.vertices):
             return True
     return False
+
+
+def simplices_disjoint(
+    D: DelzantPolytope, i: int, xi, j: int, xj
+) -> bool:
+    """Exact disjointness of two half-open admissible simplices."""
+    return _half_open_disjoint(admissible_simplex(D, i, xi), admissible_simplex(D, j, xj))
 
 
 def disjointness_oracle(D: DelzantPolytope, x) -> bool:
@@ -216,10 +215,7 @@ def disjointness_oracle(D: DelzantPolytope, x) -> bool:
     for i, c in enumerate(pt):
         if c < 0 or c > D.corner_radii[i]:
             raise ValueError(f"radius {c} not admissible at vertex {i}")
-    active = [i for i, c in enumerate(pt) if c > 0]
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            i, j = active[a], active[b]
-            if not simplices_disjoint(D, i, pt[i], j, pt[j]):
-                return False
-    return True
+    simplices = [admissible_simplex(D, i, c) for i, c in enumerate(pt) if c > 0]
+    return all(
+        _half_open_disjoint(a, b) for a, b in itertools.combinations(simplices, 2)
+    )

@@ -23,7 +23,6 @@ from .linalg import (
     Vec,
     as_vec,
     dot,
-    mat_inverse,
     nthroot_bounds,
     nthroot_decimal,
     rational_nthroot,
@@ -106,20 +105,21 @@ def safe_radius_estimate(base: DelzantPolytope) -> Fraction:
     The bound is open: every offset s with max|s^i| strictly below the
     returned radius is admissible, and some offset with max|s^i| equal to
     it is not.  At the vertex with active facets I the normals N_I form a
-    unimodular matrix, and the vertex moves as v_I(s) = N_I^-1 (lambda_I +
-    s_I).  The slack of another facet j there is c + a . s_I - s^j, with c
-    its slack at the base vertex and a = u_j N_I^-1 (integral).  It stays
-    positive for all max|s^i| < rho exactly when rho <= c / (|a|_1 + 1);
-    the radius is the least such bound over all vertices and facets.
+    unimodular matrix whose inverse is the vertex frame (the edge
+    directions d_f, ordered by the facet f each leaves), and the vertex
+    moves as v_I(s) = N_I^-1 (lambda_I + s_I).  The slack of another facet
+    j there is c + a . s_I - s^j, with c its slack at the base vertex and
+    a = u_j N_I^-1 = (<u_j, d_f>)_f (integral).  It stays positive for all
+    max|s^i| < rho exactly when rho <= c / (|a|_1 + 1); the radius is the
+    least such bound over all vertices and facets.
     """
     halfspaces = base.hrep.halfspaces
     bounds: list[Fraction] = []
-    for v, active in zip(base.vertices, base.vdata.incidence):
-        inv = mat_inverse([halfspaces[i].normal for i in active])
+    for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames):
         for j, h in enumerate(halfspaces):
             if j in active:
                 continue
-            a = [dot(h.normal, col) for col in zip(*inv)]
+            a = [dot(h.normal, d) for d in frame.directions]
             bounds.append(h.eval_at(v) / (sum(abs(c) for c in a) + 1))
     return min(bounds)
 

@@ -20,11 +20,10 @@ from .linalg import (
     Vec,
     affine_rank,
     as_vec,
+    bareiss,
     dot,
     gcd_primitive,
     mat_det,
-    mat_inverse,
-    mat_rank,
     rat,
     vec_sub,
 )
@@ -124,29 +123,10 @@ def _normalize_ray(v: list[int]) -> IntVec:
     return prim
 
 
-def _greedy_row_basis(rows: list[IntVec], dim: int) -> list[int]:
-    """Indices of the first ``dim`` linearly independent rows."""
-    basis: list[int] = []
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for idx, row in enumerate(rows):
-        if len(basis) == dim:
-            break
-        work = [rat(c) for c in row]
-        for rrow, piv in zip(reduced, pivots):
-            if work[piv] != 0:
-                f = work[piv]
-                for c in range(dim):
-                    work[c] -= f * rrow[c]
-        piv = next((c for c in range(dim) if work[c] != 0), None)
-        if piv is None:
-            continue
-        inv = 1 / work[piv]
-        work = [x * inv for x in work]
-        reduced.append(work)
-        pivots.append(piv)
-        basis.append(idx)
-    return basis
+def _greedy_row_basis(rows: list[IntVec]) -> list[int]:
+    """Indices of the first linearly independent rows spanning the row
+    space: the pivot columns of the transposed rows."""
+    return bareiss(list(zip(*rows)))[1]
 
 
 def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
@@ -156,16 +136,19 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
     tight sets are bitmasks indexed by row position.  Raises _LowRankCone
     when rank(rows) < dim (the cone has lineality, hence no extreme rays).
     """
-    basis = _greedy_row_basis(rows, dim)
+    basis = _greedy_row_basis(rows)
     if len(basis) < dim:
         raise _LowRankCone()
 
-    inv_cols = list(zip(*mat_inverse([rows[i] for i in basis])))
-    denom = math.lcm(*(f.denominator for col in inv_cols for f in col))
+    # The first cone is cut out by the basis rows B alone; its rays are the
+    # columns of B^-1.  [B | I] reduces to [d I | d B^-1].
+    unit = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    reduced, _, d = bareiss([list(rows[i]) + e for i, e in zip(basis, unit)])
+    sign = 1 if d > 0 else -1
     rays: list[IntVec] = []
     masks: list[int] = []
-    for j, col in enumerate(inv_cols):
-        rays.append(_normalize_ray([int(f * denom) for f in col]))
+    for j in range(dim):
+        rays.append(_normalize_ray([sign * row[dim + j] for row in reduced]))
         m = 0
         for pos, i in enumerate(basis):
             if pos != j:
@@ -267,7 +250,7 @@ def _cone_vertices_and_rays(P: HPolytope) -> tuple[list[Vec], list[IntVec]]:
     except _LowRankCone:
         # Quotient by the lineality space: parametrize x = B^T y with B a
         # row-space basis; the x0 coordinate descends to the quotient.
-        basis_rows = [rows[i] for i in _greedy_row_basis(rows, d)]
+        basis_rows = [rows[i] for i in _greedy_row_basis(rows)]
         r = len(basis_rows)
         projected = [
             tuple(dot(row, b) for b in basis_rows) for row in rows
@@ -319,7 +302,7 @@ def enumerate_vertices(P: HPolytope, with_edges: bool = True) -> VertexData:
     empty or unbounded input."""
     verts = vertex_set(P)
     incidence = _incidence(P, verts)
-    edges = _edges_from_incidence(P, verts, incidence) if with_edges else ()
+    edges = _edges_from_incidence(P.dim, incidence) if with_edges else ()
     return VertexData(verts, incidence, tuple(edges))
 
 
@@ -330,16 +313,21 @@ def _incidence(P: HPolytope, verts) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _edges_from_incidence(P, verts, incidence) -> list[tuple[int, int]]:
-    n = P.dim
-    sets = [frozenset(inc) for inc in incidence]
+def _edges_from_incidence(n: int, incidence) -> list[tuple[int, int]]:
+    """Vertex pairs (i, j) sharing at least n - 1 facets whose common facets
+    contain no third vertex.  Those facets cut out the smallest face holding
+    both vertices; with exactly two vertices it is the edge between them,
+    whether or not the polytope is simple."""
+    masks = [sum(1 << f for f in inc) for inc in incidence]
     edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            common = sets[i] & sets[j]
-            if len(common) < n - 1:
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            common = mi & masks[j]
+            if common.bit_count() < n - 1:
                 continue
-            if mat_rank([P.halfspaces[k].normal for k in sorted(common)]) == n - 1:
+            if not any(
+                k != i and k != j and mk & common == common for k, mk in enumerate(masks)
+            ):
                 edges.append((i, j))
     return edges
 
@@ -373,7 +361,7 @@ def _reduce(
         kept[i] = len(kept)
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
     incidence = tuple(tuple(kept[i] for i in inc if i in kept) for inc in incidence)
-    edges = _edges_from_incidence(reduced, verts, incidence) if with_edges else ()
+    edges = _edges_from_incidence(P.dim, incidence) if with_edges else ()
     return reduced, VertexData(verts, incidence, tuple(edges))
 
 

@@ -1,8 +1,11 @@
-"""Brute-force reference for the library's vertex enumeration.
+"""Brute-force references for the library's vertex and edge enumeration.
 
-The library enumerates vertices by double description only.  This module
-keeps the exhaustive active-set search, which shares no code with it, as
-the reference the tests compare it against.
+The library enumerates vertices by double description only, and finds
+edges from vertex-facet incidence alone.  This module keeps the exhaustive
+active-set search and the rank test for edges as the references the tests
+compare them against.  Neither shares an enumeration step with the
+library; both use its exact elimination in ``linalg``, which
+``test_linalg`` checks against the cofactor and Leibniz formulas.
 """
 
 import itertools
@@ -32,3 +35,14 @@ def brute_force_vertex_set(P: HPolytope) -> tuple:
     if not found:
         raise EmptyPolytopeError("empty polytope")
     return tuple(sorted(found))
+
+
+def brute_force_edges(P: HPolytope, vertices, incidence) -> tuple:
+    """Index pairs (i, j), i < j, whose common active facets have normals of
+    rank dim - 1: the segment between the two vertices is then a face."""
+    edges = []
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        common = sorted(set(incidence[i]) & set(incidence[j]))
+        if mat_rank([P.halfspaces[k].normal for k in common]) == P.dim - 1:
+            edges.append((i, j))
+    return tuple(edges)

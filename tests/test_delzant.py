@@ -67,6 +67,26 @@ class TestValidation:
             for f in D.frames:
                 assert is_unimodular(f.matrix())
 
+    def test_active_normals_invert_the_frame(self, square, pentagon, prism):
+        # N_I F = I at every vertex: row k of N_I is the normal of the k-th
+        # active facet, column k of F the edge leaving it.
+        for D in (
+            square,
+            pentagon,
+            prism,
+            make_cube(3),
+            make_chopped_simplex(F(1, 10), F(1, 5), 3),
+            make_product(pentagon, make_simplex(1)),
+        ):
+            n = D.dim
+            for inc, frame in zip(D.vdata.incidence, D.frames):
+                normals = [D.hrep.halfspaces[f].normal for f in inc]
+                product = [
+                    [sum(u[c] * d[c] for c in range(n)) for d in frame.directions]
+                    for u in normals
+                ]
+                assert product == [[int(r == c) for c in range(n)] for r in range(n)]
+
     def test_validation_idempotent_on_reduced(self, pentagon):
         again = validate_delzant(pentagon.hrep)
         assert again.hrep == pentagon.hrep

@@ -1,0 +1,75 @@
+"""Golden outputs: the CLI's bytes on fixed specs must not change.
+
+Each case pins the sha256 of one command's stdout followed by its stderr.
+A refactor that keeps every exact result keeps these digests; a change that
+alters any output byte (a number, an order, a field, a message) fails here
+and must say why in its own record before the digest is updated.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from toricpack.cli import main
+
+SPECS = {
+    "square": ("cube", "2", "1"),
+    "pentagon": ("chopped_simplex", "1/10", "1/10"),
+    "prism": ("product", "simplex:1:1", "simplex:2:1"),
+    "cube3": ("cube", "3"),
+    "chopped3": ("chopped_simplex", "1/10", "1/5", "3"),
+}
+
+COMMANDS = {
+    "validate": ("validate", "{spec}", "--json"),
+    "info": ("info", "{spec}", "--safe-radius"),
+    "pack": ("pack", "{spec}", "--all", "--json"),
+}
+
+GOLDEN = {
+    ("square", "validate"): "efab1279b97b68e571fbd3a780cb00748b241aae23e91eb3cc78001d7189f90d",
+    ("square", "info"): "c6c09b2ec620badb0a6534adc33ca9827f0c781c2d022df2cf7457ae193cb50c",
+    ("square", "pack"): "505d9cc34c84e6ab13c1da6229bb07d3f9ff0f27375054b86aa4224e7b44b247",
+    ("pentagon", "validate"): "6206d98bd7acb1903047d99ea1a8e32416cc788deda9d898a64a7e4031e9988c",
+    ("pentagon", "info"): "f1efee1805c2d3f79466fb1d91986bb052f3361cd88a4eb16bd8508e8ef4bfe4",
+    ("pentagon", "pack"): "26fd35e47fca368f2dfb7daf14dc03e0b03980cf44809d2c4b49c5b204ae86fe",
+    ("prism", "validate"): "c8003c5f73c683d31de10f90cd6507edcc4db0f462db9ffb654f08a1fa9da997",
+    ("prism", "info"): "f87e29195dc0ffafef57f40af13fa507f3598f4cc056ddae3d2aec8b9a4a23b7",
+    ("prism", "pack"): "218495f1763f351daca480e71b55d747af51b07e0e8053b053d30d79cc2c3040",
+    ("cube3", "validate"): "910eec2cb9e56181838c8f6a1bee1ca9fa3ed3b40c7330980e826e7abe28c40a",
+    ("cube3", "info"): "8d6f6f1c13ea6c81eea1d03891ffb7b93e4987dcc61007aa4f1b05699262225e",
+    ("cube3", "pack"): "080e43eb76f49da1235ae464a84bb7db1044bc01ea01b4e0c64e91ecf18fbdf9",
+    ("chopped3", "validate"): "06b5e40be124567c29da2584153f334309a52c78f42a50b05e90f6231bbf8878",
+    ("chopped3", "info"): "de498dacb30582594ce4925a7bc4de5d13ff39ec60369e14b51b72f0587d66c4",
+    ("chopped3", "pack"): "058cf713431fc4ea09823848d6328e7bc9450d813d32e4e7a75f54443114b30d",
+    ("square", "scan"): "4ed3f4df49884b9defca372775793e9feebd881ddeadc08218bcdae6393bf581",
+}
+
+
+def run_digest(capsys, argv) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, args in SPECS.items():
+        assert main(["family", *args, "-o", str(d / f"{name}.json"), "--name", name]) == 0
+    (d / "dir.json").write_text(json.dumps({"s2": ["0", "0", "-1", "0"]}), encoding="utf-8")
+    return d
+
+
+@pytest.mark.parametrize("spec,command", [k for k in GOLDEN if k[1] != "scan"])
+def test_command_output(spec_dir, capsys, spec, command):
+    argv = [a.format(spec=spec_dir / f"{spec}.json") for a in COMMANDS[command]]
+    assert run_digest(capsys, argv) == GOLDEN[spec, command]
+
+
+def test_square_scan(spec_dir, capsys):
+    argv = ["scan", "--base", str(spec_dir / "square.json"), "--dir", str(spec_dir / "dir.json"),
+            "--samples", "16"]
+    assert run_digest(capsys, argv) == GOLDEN["square", "scan"]

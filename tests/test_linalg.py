@@ -1,4 +1,6 @@
 import decimal
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ from toricpack.linalg import (
     gcd_primitive,
     is_unimodular,
     mat_det,
-    mat_inverse,
     mat_rank,
     nthroot_bounds,
     nthroot_decimal,
@@ -22,10 +23,48 @@ from toricpack.linalg import (
     rational_nthroot,
     solve_linear,
 )
+from toricpack.polytope import _greedy_row_basis
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations, no elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def minor_rank(rows):
+    """Size of the largest nonzero minor."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                if leibniz_det([[rows[r][c] for c in ci] for r in ri]):
+                    return k
+    return 0
+
+
+def low_rank_matrices(max_rows=4, max_cols=4):
+    """Integer matrices A = B C with B m x r and C r x n, so rank(A) <= r."""
+
+    @st.composite
+    def build(draw):
+        m = draw(st.integers(1, max_rows))
+        n = draw(st.integers(1, max_cols))
+        r = draw(st.integers(0, min(m, n)))
+        entries = st.integers(-3, 3)
+        b = [[draw(entries) for _ in range(r)] for _ in range(m)]
+        c = [[draw(entries) for _ in range(n)] for _ in range(r)]
+        return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+    return build()
 
 
 class TestGcdPrimitive:
@@ -92,6 +131,12 @@ class TestDet:
         assert mat_det(rows) == expected
 
 
+    @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4, max_size=4))
+    @settings(max_examples=60)
+    def test_rational_against_leibniz(self, rows):
+        assert mat_det(rows) == leibniz_det(rows)
+
+
 class TestUnimodular:
     def test_examples(self):
         assert is_unimodular([[1, 0], [0, 1]])
@@ -125,11 +170,6 @@ class TestSolve:
         for row, b in zip(rows, rhs):
             assert sum(rat(c) * xi for c, xi in zip(row, x)) == rat(b)
 
-    def test_inverse_roundtrip(self):
-        m = [[2, 1], [1, 1]]
-        inv = mat_inverse(m)
-        assert inv == ((1, -1), (-1, 2))
-
 
 class TestRankAndDirections:
     def test_rank(self):
@@ -138,6 +178,19 @@ class TestRankAndDirections:
         assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
         assert affine_rank([(0, 0), (1, 1), (2, 2)]) == 1
         assert affine_rank([]) == -1
+
+    @given(st.one_of(low_rank_matrices(), st.lists(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4)))
+    @settings(max_examples=80)
+    def test_rank_against_largest_minor(self, rows):
+        assert mat_rank(rows) == minor_rank(rows)
+
+    @given(low_rank_matrices(max_rows=6, max_cols=3))
+    @settings(max_examples=60)
+    def test_greedy_row_basis_by_prefix_ranks(self, rows):
+        # Row k is in the basis iff it raises the rank of the rows before it.
+        expect = [k for k in range(len(rows)) if minor_rank(rows[: k + 1]) > minor_rank(rows[:k])]
+        assert _greedy_row_basis(rows) == expect
 
     def test_primitive_direction(self):
         u, t = primitive_direction((Fraction(1, 2), Fraction(1, 2)))

@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricpack.polytope
-from reference import brute_force_vertex_set
+from reference import brute_force_edges, brute_force_vertex_set
 from toricpack.delzant import validate_delzant
 from toricpack.linalg import mat_rank, vec_add, vec_scale
 from toricpack.perturb import perturb
@@ -57,6 +57,25 @@ def cross_polytope(n):
     rows = []
     for signs in itertools.product((1, -1), repeat=n):
         rows.append((signs, -1))
+    return hpolytope(n, rows)
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A unit box plus a few random cutting halfspaces: always bounded."""
+    n = draw(st.integers(2, 3))
+    rows = [(tuple(int(i == j) for j in range(n)), F(0)) for i in range(n)]
+    rows += [
+        (tuple(-int(i == j) for j in range(n)), F(-2)) for i in range(n)
+    ]
+    extra = draw(st.integers(0, 2))
+    for _ in range(extra):
+        normal = tuple(
+            draw(st.integers(-2, 2)) for _ in range(n)
+        )
+        if all(c == 0 for c in normal):
+            continue
+        rows.append((normal, F(draw(st.integers(-3, 0)))))
     return hpolytope(n, rows)
 
 
@@ -136,35 +155,21 @@ class TestEnumerate:
             for i in inc:
                 assert P.halfspaces[i].eval_at(v) == 0
 
-    def test_edge_midpoints(self):
-        # Edge midpoints lie in the polytope with active set of rank n-1.
-        for P in (unit_square(), triangle_prism()):
-            vd = enumerate_vertices(P)
-            n = P.dim
-            for i, j in vd.edges:
-                mid = vec_scale(F(1, 2), vec_add(vd.vertices[i], vd.vertices[j]))
-                assert contains(P, mid)
-                active = [h.normal for h in P.halfspaces if h.eval_at(mid) == 0]
-                assert mat_rank(active) == n - 1
-
-
-@st.composite
-def bounded_polytopes(draw):
-    """A unit box plus a few random cutting halfspaces: always bounded."""
-    n = draw(st.integers(2, 3))
-    rows = [(tuple(int(i == j) for j in range(n)), F(0)) for i in range(n)]
-    rows += [
-        (tuple(-int(i == j) for j in range(n)), F(-2)) for i in range(n)
-    ]
-    extra = draw(st.integers(0, 2))
-    for _ in range(extra):
-        normal = tuple(
-            draw(st.integers(-2, 2)) for _ in range(n)
-        )
-        if all(c == 0 for c in normal):
-            continue
-        rows.append((normal, F(draw(st.integers(-3, 0)))))
-    return hpolytope(n, rows)
+    @given(bounded_polytopes())
+    @example(unit_square())
+    @example(triangle_prism())
+    @example(cross_polytope(3))
+    @settings(max_examples=30, deadline=None)
+    def test_edge_midpoints(self, P):
+        # The edges from incidence are those of the rank test, and edge
+        # midpoints lie in the polytope with active set of rank n-1.
+        vd = enumerate_vertices(P)
+        assert vd.edges == brute_force_edges(P, vd.vertices, vd.incidence)
+        for i, j in vd.edges:
+            mid = vec_scale(F(1, 2), vec_add(vd.vertices[i], vd.vertices[j]))
+            assert contains(P, mid)
+            active = [h.normal for h in P.halfspaces if h.eval_at(mid) == 0]
+            assert mat_rank(active) == P.dim - 1
 
 
 class TestEnumerationOracle:
