@@ -13,6 +13,7 @@ import sys
 from .delzant import NotDelzantError
 from .jsonio import (
     SpecFileError,
+    direction_from_json,
     dumps,
     generator_polytope,
     info_report,
@@ -22,7 +23,7 @@ from .jsonio import (
     scan_summary,
     spec_file_document,
 )
-from .linalg import format_rat, rat
+from .linalg import format_rat
 from .packing import maximize, realize
 from .perturb import (
     PerturbationError,
@@ -92,7 +93,7 @@ def _render_svg(D, packing) -> str:
     labels = [f"r={format_rat(D.corner_radii[i])}" for i in order]
     hulls = []
     for simplex in realize(D, packing.radii):
-        hull_vd = enumerate_vertices(simplex.hull, with_edges=True)
+        hull_vd = enumerate_vertices(simplex.hull)
         horder = boundary_order(hull_vd.vertices, hull_vd.edges)
         hulls.append([hull_vd.vertices[i] for i in horder])
     return render_packing_svg(polygon, hulls, labels)
@@ -122,11 +123,7 @@ def cmd_pack(args) -> int:
 def cmd_scan(args) -> int:
     _, D = load_spec_file(args.base)
     with open(args.dir, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "s2" not in doc:
-        raise SpecFileError('direction file needs an "s2" entry (and optional "s1")')
-    s2 = [rat(c) for c in doc["s2"]]
-    s1 = [rat(c) for c in doc.get("s1", [0] * len(s2))]
+        s1, s2 = direction_from_json(json.load(fh))
     res = scan_segment(D, s1, s2, args.samples)
     _emit(scan_csv(res), args.csv)
     summary = dumps(scan_summary(res))

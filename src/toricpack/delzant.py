@@ -9,7 +9,6 @@ constructions consume.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,13 +48,6 @@ class VertexFrame:
     directions: tuple[IntVec, ...]
     lengths: tuple[Fraction, ...]
     neighbor_indices: tuple[int, ...]
-
-    def matrix(self) -> tuple[IntVec, ...]:
-        """Frame matrix with the directions as columns."""
-        n = len(self.directions)
-        return tuple(
-            tuple(self.directions[j][i] for j in range(n)) for i in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
     The input is reduced first; failures raise :class:`NotDelzantError`
     naming the first violating vertex in lexicographic vertex order.
     """
-    return _validate_reduced(*_reduce(P, with_edges=True))
+    return _validate_reduced(*_reduce(P))
 
 
 def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
@@ -144,7 +136,7 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
             u, t = primitive_direction(vec_sub(vd.vertices[j], vd.vertices[i]))
             dirs.append(u)
             lens.append(t)
-        det = mat_det([[dirs[j][r] for j in range(n)] for r in range(n)])
+        det = mat_det(dirs)
         if det != 1 and det != -1:
             raise NotDelzantError(
                 f"not unimodular at vertex {i} (det = {det})"
@@ -152,59 +144,18 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
         frames.append(VertexFrame(i, tuple(dirs), tuple(lens), tuple(order)))
         radii.append(min(lens))
 
-    adjacency = {frozenset(e) for e in vd.edges}
     bounds: list[tuple[Fraction, ...]] = []
-    for i in range(nverts):
-        row: list[Fraction] = []
-        for j in range(nverts):
-            if i == j:
-                row.append(Fraction(0))
-            elif frozenset((i, j)) in adjacency:
-                row.append(rational_length(vd.vertices[i], vd.vertices[j]))
-            else:
-                row.append(radii[i] + radii[j])
+    for f in frames:
+        row = [radii[f.vertex_index] + r for r in radii]
+        row[f.vertex_index] = Fraction(0)
+        for t, j in zip(f.lengths, f.neighbor_indices):
+            row[j] = t
         bounds.append(tuple(row))
-
     return DelzantPolytope(reduced, vd, tuple(frames), tuple(radii), tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
 # Normal fan.
-
-
-@dataclass(frozen=True)
-class FanCone:
-    """Cone of the normal fan: the facet multi-index generating it plus the
-    corresponding primitive normals."""
-
-    facet_indices: tuple[int, ...]
-    normals: tuple[IntVec, ...]
-
-
-@dataclass(frozen=True)
-class Fan:
-    dim: int
-    cones: tuple[FanCone, ...]
-
-    @property
-    def rays(self) -> tuple[FanCone, ...]:
-        return tuple(c for c in self.cones if len(c.facet_indices) == 1)
-
-
-def fan_of(D: DelzantPolytope) -> Fan:
-    """Normal fan: one cone per proper face, generated by the normals of the
-    facets containing it.  For a simple polytope every k-subset of a vertex
-    active set spans a face of codimension k."""
-    index_sets: set[tuple[int, ...]] = set()
-    for active in D.vdata.incidence:
-        items = tuple(active)
-        for k in range(1, D.dim + 1):
-            index_sets.update(itertools.combinations(items, k))
-    cones = tuple(
-        FanCone(s, tuple(D.hrep.halfspaces[i].normal for i in s))
-        for s in sorted(index_sets, key=lambda s: (len(s), s))
-    )
-    return Fan(D.dim, cones)
 
 
 def same_fan(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:

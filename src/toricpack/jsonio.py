@@ -13,12 +13,10 @@ from typing import Any
 
 from .delzant import (
     DelzantPolytope,
-    fan_of,
     make_chopped_simplex,
     make_cube,
     make_product,
     make_simplex,
-    rational_length,
     scale,
     validate_delzant,
 )
@@ -46,7 +44,7 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _offset(value: Any, k: int) -> Fraction:
+def _rational(value: Any, what: str) -> Fraction:
     """A JSON integer or a string such as "-9/10"; nothing else."""
     if _is_int(value):
         return Fraction(value)
@@ -55,16 +53,14 @@ def _offset(value: Any, k: int) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise SpecFileError(
-        f"halfspace {k}: offset must be an integer or a rational string, got {value!r}"
-    )
+    raise SpecFileError(f"{what} must be an integer or a rational string, got {value!r}")
 
 
 def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
     """Parse {"dim": n, "halfspaces": [{"normal": [...], "offset": ...}]}.
 
     ``dim`` and the normal entries must be JSON integers (booleans are
-    refused); offsets are read by :func:`_offset`.
+    refused); offsets are read by :func:`_rational`.
     """
     try:
         dim = doc["dim"]
@@ -77,10 +73,31 @@ def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
                 raise SpecFileError(
                     f"halfspace {k}: normal entries must be integers, got {h['normal']!r}"
                 )
-            rows.append(HalfSpace(normal, _offset(h["offset"], k)))
+            rows.append(HalfSpace(normal, _rational(h["offset"], f"halfspace {k}: offset")))
     except (KeyError, TypeError) as exc:
         raise SpecFileError(f"malformed H-representation: {exc}") from exc
     return HPolytope(dim, tuple(rows))
+
+
+def direction_from_json(doc: Any) -> tuple[list[Fraction], list[Fraction]]:
+    """Parse an offset direction {"s2": [...], "s1": [...]} into (s1, s2).
+
+    ``s1`` defaults to zeros; every entry is read like a spec offset.
+    """
+    if not isinstance(doc, dict) or "s2" not in doc:
+        raise SpecFileError('direction file needs an "s2" entry (and optional "s1")')
+
+    def entries(key: str) -> list[Fraction]:
+        value = doc[key]
+        if not isinstance(value, list):
+            raise SpecFileError(f"{key} must be a list, got {value!r}")
+        return [_rational(c, f"{key}[{k}]") for k, c in enumerate(value)]
+
+    s2 = entries("s2")
+    s1 = entries("s1") if "s1" in doc else [Fraction(0)] * len(s2)
+    if len(s1) != len(s2):
+        raise SpecFileError(f"s1 has {len(s1)} entries, s2 has {len(s2)}")
+    return s1, s2
 
 
 def vdata_to_json(D: DelzantPolytope) -> dict[str, Any]:
@@ -143,7 +160,10 @@ def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope
     if has_h and has_g:
         raise SpecFileError("spec may carry halfspaces or a generator, not both")
     if has_g:
-        args = [str(a) for a in doc.get("args", [])]
+        args = doc.get("args", [])
+        if not isinstance(args, list):
+            raise SpecFileError(f"generator args must be a list, got {args!r}")
+        args = [str(a) for a in args]
         return name, generator_polytope(str(doc["generator"]), args)
     if has_h:
         return name, validate_delzant(hrep_from_json(doc))
@@ -170,16 +190,10 @@ def spec_file_document(D: DelzantPolytope, name: str | None = None) -> dict[str,
 
 def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
     """Machine report: vertices, edges with lattice lengths, frames, radii,
-    pairwise bounds, and the fan rays."""
-    fan = fan_of(D)
+    pairwise bounds, and the fan rays (the facet normals)."""
     edges = [
-        {
-            "vertices": list(e),
-            "length": format_rat(
-                rational_length(D.vertices[e[0]], D.vertices[e[1]])
-            ),
-        }
-        for e in D.vdata.edges
+        {"vertices": [i, j], "length": format_rat(D.pair_bounds[i][j])}
+        for i, j in D.vdata.edges
     ]
     doc: dict[str, Any] = {}
     if name:
@@ -207,7 +221,7 @@ def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
             "pair_bounds": [
                 [format_rat(x) for x in row] for row in D.pair_bounds
             ],
-            "fan_rays": [list(c.normals[0]) for c in fan.rays],
+            "fan_rays": [list(h.normal) for h in D.hrep.halfspaces],
         }
     )
     return doc

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 Rational = Fraction
 IntVec = tuple[int, ...]
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 class SingularMatrixError(ValueError):
@@ -40,13 +39,6 @@ def format_rat(q: Fraction) -> str:
 
 def as_vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
-
-
-def as_mat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(as_vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("inconsistent row lengths")
-    return out
 
 
 def vec_add(a: Sequence, b: Sequence) -> Vec:

@@ -19,7 +19,15 @@ from fractions import Fraction
 
 from .delzant import DelzantPolytope
 from .linalg import IntVec, Vec, as_vec, vec_add
-from .polytope import HalfSpace, HPolytope, contains, intersect, vertex_set, volume
+from .polytope import (
+    HalfSpace,
+    HPolytope,
+    _polytope_rays,
+    contains,
+    intersect,
+    vertex_set,
+    volume,
+)
 
 
 @dataclass(frozen=True)
@@ -34,10 +42,6 @@ class PackingPolytope:
 
     source: DelzantPolytope
     hrep: HPolytope
-
-    @property
-    def num_centers(self) -> int:
-        return self.source.num_vertices
 
 
 @dataclass(frozen=True)
@@ -78,17 +82,32 @@ class AdmissibleSimplex:
         return volume(self.hull)
 
 
-def build_packing_polytope(D: DelzantPolytope) -> PackingPolytope:
-    """Constraint system for the feasible radii vectors of D."""
+def _packing_rows(D: DelzantPolytope, pairs) -> HPolytope:
+    """x >= 0, plus x_i + x_j <= pair_bounds[i][j] for each (i, j) in pairs."""
     V = D.num_vertices
-    rows: list[HalfSpace] = []
-    for i in range(V):
-        rows.append(HalfSpace(tuple(int(k == i) for k in range(V)), 0))
-    for i in range(V):
-        for j in range(i + 1, V):
-            normal = tuple(-int(k == i) - int(k == j) for k in range(V))
-            rows.append(HalfSpace(normal, -D.pair_bounds[i][j]))
-    return PackingPolytope(D, HPolytope(V, tuple(rows)))
+    rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
+    for i, j in pairs:
+        normal = tuple(-int(k == i) - int(k == j) for k in range(V))
+        rows.append(HalfSpace(normal, -D.pair_bounds[i][j]))
+    return HPolytope(V, tuple(rows))
+
+
+def build_packing_polytope(D: DelzantPolytope) -> PackingPolytope:
+    """Full constraint system for the feasible radii vectors of D."""
+    return PackingPolytope(D, _packing_rows(D, itertools.combinations(range(D.num_vertices), 2)))
+
+
+def _edge_system(D: DelzantPolytope) -> HPolytope:
+    """The packing polytope from the edge graph of D: x >= 0, plus
+    x_i + x_j <= l_ij on each edge (i, j) with l_ij < r_i + r_j.
+
+    Every other row of :func:`build_packing_polytope` is implied: the
+    minimal edge at vertex i gives x_i + x_k <= r_i with x_k >= 0, hence
+    x_i <= r_i, so x_i + x_j <= r_i + r_j holds for every pair.  The set is
+    the same, and the edges come in lexicographic pair order.
+    """
+    r, bound = D.corner_radii, D.pair_bounds
+    return _packing_rows(D, [(i, j) for i, j in D.vdata.edges if bound[i][j] < r[i] + r[j]])
 
 
 def density(D: DelzantPolytope, x) -> Fraction:
@@ -103,49 +122,38 @@ def density(D: DelzantPolytope, x) -> Fraction:
 
 
 def packing_polytope_vertices(D: DelzantPolytope) -> tuple[Vec, ...]:
-    """All vertices of the packing polytope, lexicographically sorted.
-
-    A pair constraint with bound >= r_i + r_j is implied: the minimal edge
-    at vertex i gives x_i + x_k <= r_i with x_k >= 0, hence x_i <= r_i, and
-    likewise for j.  Dropping those rows leaves the feasible set unchanged
-    while shrinking the enumeration input considerably.
-    """
-    V = D.num_vertices
-    r = D.corner_radii
-    rows = build_packing_polytope(D).hrep.halfspaces
-    pairs = itertools.combinations(range(V), 2)
-    needed = tuple(
-        h for (i, j), h in zip(pairs, rows[V:]) if D.pair_bounds[i][j] < r[i] + r[j]
-    )
-    return vertex_set(HPolytope(V, rows[:V] + needed))
+    """All vertices of the packing polytope, lexicographically sorted."""
+    return vertex_set(_edge_system(D))
 
 
 def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """Exact maximum density and all maximal packings.
 
-    Enumerates the vertices of the packing polytope, evaluates the density
-    at each, and keeps every exact tie, in lexicographic radii order.
+    Ranks the integer rays (x0; y) of the packing polytope's homogenized
+    cone by sum(y_i^n) / x0^n, the packed volume at the vertex y / x0 up to
+    the factor n! vol, and builds vertices only for the exact ties, in
+    lexicographic radii order.
     """
-    verts = packing_polytope_vertices(D)
     n = D.dim
-    denom = math.factorial(n) * D.euclidean_volume
     best: Fraction | None = None
-    argmax: list[Vec] = []
-    for v in verts:
-        val = sum(c**n for c in v) / denom
-        if best is None or val > best:
-            best = val
-            argmax = [v]
-        elif val == best:
-            argmax.append(v)
+    argmax: list[IntVec] = []
+    for ray in _polytope_rays(_edge_system(D)):
+        key = Fraction(sum(c**n for c in ray[1:]), ray[0] ** n)
+        if best is None or key > best:
+            best = key
+            argmax = [ray]
+        elif key == best:
+            argmax.append(ray)
     assert best is not None
-    return best, tuple(Packing(v, best) for v in argmax)
+    value = best / (math.factorial(n) * D.euclidean_volume)
+    verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
+    return value, tuple(Packing(v, value) for v in verts)
 
 
 def realize(D: DelzantPolytope, x) -> tuple[AdmissibleSimplex, ...]:
     """Admissible simplices of a feasible radii vector (positive radii only)."""
     pt = as_vec(x)
-    if not contains(build_packing_polytope(D).hrep, pt):
+    if not contains(_edge_system(D), pt):
         raise ValueError("not a packing")
     return tuple(
         admissible_simplex(D, i, c) for i, c in enumerate(pt) if c > 0

@@ -72,7 +72,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         ),
     )
     try:
-        reduced, vd = _reduce(raw, with_edges=True)
+        reduced, vd = _reduce(raw)
     except EmptyPolytopeError as exc:
         raise PerturbationError("empty", str(exc)) from exc
     except DegeneratePolytopeError as exc:

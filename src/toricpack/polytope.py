@@ -239,10 +239,13 @@ def _insertion_order(rows: list[IntVec]) -> list[IntVec]:
     return [r for _, r in indexed]
 
 
-def _cone_vertices_and_rays(P: HPolytope) -> tuple[list[Vec], list[IntVec]]:
-    """Split extreme rays of the homogenized cone into vertices and
-    recession directions.  Handles low-rank systems by passing to the
-    quotient modulo the lineality space."""
+def _polytope_rays(P: HPolytope) -> list[IntVec]:
+    """Extreme rays (x0; y) of the homogenized cone of a bounded, nonempty
+    polytope, each with x0 > 0: the vertices of P are y / x0, one per ray.
+
+    Raises on empty or unbounded input.  Handles low-rank systems by passing
+    to the quotient modulo the lineality space.
+    """
     rows = _insertion_order(_homogenized_rows(P))
     d = P.dim + 1
     try:
@@ -261,16 +264,13 @@ def _cone_vertices_and_rays(P: HPolytope) -> tuple[list[Vec], list[IntVec]]:
             if x0 != 0:
                 raise UnboundedPolytopeError("unbounded polytope")
         raise EmptyPolytopeError("empty polytope")
-
-    verts: list[Vec] = []
-    recession: list[IntVec] = []
-    for ray in rays:
-        if ray[0] == 0:
-            recession.append(ray[1:])
-        else:
-            t = Fraction(1, ray[0])
-            verts.append(tuple(t * c for c in ray[1:]))
-    return verts, recession
+    # A pointed lifted cone with no ray at x0 > 0 has no x0 > 0 points at
+    # all, so emptiness takes precedence over leftover recession rays.
+    if all(ray[0] == 0 for ray in rays):
+        raise EmptyPolytopeError("empty polytope")
+    if any(ray[0] == 0 for ray in rays):
+        raise UnboundedPolytopeError("unbounded polytope")
+    return rays
 
 
 # ---------------------------------------------------------------------------
@@ -284,26 +284,17 @@ def vertex_set(P: HPolytope) -> tuple[Vec, ...]:
     structure is not needed: it skips the per-vertex facet scans, which
     dominate on polytopes with many vertices.
     """
-    if P.num_facets == 0:
-        raise UnboundedPolytopeError("unbounded polytope")
-    verts, recession = _cone_vertices_and_rays(P)
-    # A pointed lifted cone with no ray at x0 > 0 has no x0 > 0 points at
-    # all, so emptiness takes precedence over leftover recession rays.
-    if not verts:
-        raise EmptyPolytopeError("empty polytope")
-    if recession:
-        raise UnboundedPolytopeError("unbounded polytope")
-    return tuple(sorted(verts))
+    return tuple(
+        sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in _polytope_rays(P))
+    )
 
 
-def enumerate_vertices(P: HPolytope, with_edges: bool = True) -> VertexData:
+def enumerate_vertices(P: HPolytope) -> VertexData:
     """All vertices of a bounded polytope, lexicographically sorted, with
-    facet incidence and (unless ``with_edges`` is false) edges.  Raises on
-    empty or unbounded input."""
+    facet incidence and edges.  Raises on empty or unbounded input."""
     verts = vertex_set(P)
     incidence = _incidence(P, verts)
-    edges = _edges_from_incidence(P.dim, incidence) if with_edges else ()
-    return VertexData(verts, incidence, tuple(edges))
+    return VertexData(verts, incidence, tuple(_edges_from_incidence(P.dim, incidence)))
 
 
 def _incidence(P: HPolytope, verts) -> tuple[tuple[int, ...], ...]:
@@ -332,19 +323,16 @@ def _edges_from_incidence(n: int, incidence) -> list[tuple[int, int]]:
     return edges
 
 
-def _reduce(
-    P: HPolytope, with_edges: bool = False, verts: tuple[Vec, ...] | None = None
-) -> tuple[HPolytope, VertexData]:
-    """Minimal H-representation of P and its vertex data, from one
-    enumeration of P (or from ``verts``, P's vertex set, when given).
+def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
+    """Minimal H-representation of P and its vertex data, edges included,
+    from one enumeration of P.
 
     Keeps exactly the halfspaces supporting a facet (a tight vertex set of
     affine rank dim - 1), the first of any duplicates, in input order.  The
     reduced polytope is the same set, so P's vertices are its vertices, and
     its incidence is P's renumbered.
     """
-    if verts is None:
-        verts = vertex_set(P)
+    verts = vertex_set(P)
     if affine_rank(verts) < P.dim:
         raise DegeneratePolytopeError("degenerate polytope")
     incidence = _incidence(P, verts)
@@ -361,7 +349,7 @@ def _reduce(
         kept[i] = len(kept)
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
     incidence = tuple(tuple(kept[i] for i in inc if i in kept) for inc in incidence)
-    edges = _edges_from_incidence(P.dim, incidence) if with_edges else ()
+    edges = _edges_from_incidence(P.dim, incidence)
     return reduced, VertexData(verts, incidence, tuple(edges))
 
 
@@ -390,7 +378,7 @@ def volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
     facet not containing it recursively, and sums |det| / n! per simplex.
     """
     if vd is None:
-        vd = enumerate_vertices(P, with_edges=False)
+        vd = enumerate_vertices(P)
     n = P.dim
     verts = vd.vertices
     if affine_rank(verts) < n:
@@ -434,15 +422,11 @@ def volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
 
 @dataclass(frozen=True)
 class Intersection:
-    """Result of intersecting two H-polytopes.
-
-    ``affine_dim`` is -1 when empty; ``hrep`` carries the concatenated
-    constraints (reduced when the result is full-dimensional).
-    """
+    """Vertices of the intersection of two H-polytopes; ``affine_dim`` is
+    -1 when it is empty."""
 
     vertices: tuple[Vec, ...]
     affine_dim: int
-    hrep: HPolytope
 
     @property
     def is_empty(self) -> bool:
@@ -453,11 +437,8 @@ def intersect(P: HPolytope, Q: HPolytope) -> Intersection:
     """Intersection of two polytopes of the same ambient dimension."""
     if P.dim != Q.dim:
         raise ValueError("ambient dimension mismatch")
-    combined = HPolytope(P.dim, P.halfspaces + Q.halfspaces)
     try:
-        verts = vertex_set(combined)
+        verts = vertex_set(HPolytope(P.dim, P.halfspaces + Q.halfspaces))
     except EmptyPolytopeError:
-        return Intersection((), -1, combined)
-    dim = affine_rank(verts)
-    hrep = _reduce(combined, verts=verts)[0] if dim == P.dim else combined
-    return Intersection(verts, dim, hrep)
+        return Intersection((), -1)
+    return Intersection(verts, affine_rank(verts))

@@ -145,6 +145,16 @@ class TestValidate:
         assert message in err
 
 
+    @pytest.mark.parametrize("args", [5, "2", {"n": 2}, None])
+    def test_generator_args_must_be_a_list(self, tmp_path, capsys, args):
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps({"generator": "cube", "args": args}))
+        code, out, err = run(capsys, "validate", str(spec))
+        assert code == 1
+        assert out == ""
+        assert "generator args must be a list" in err
+
+
 class TestPack:
     def test_square_json(self, square_spec, capsys):
         code, stdout, _ = run(capsys, "pack", str(square_spec), "--all", "--json")
@@ -288,3 +298,37 @@ class TestScan:
             capsys, "scan", "--base", str(square_spec), "--dir", str(d)
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"s2": 5}, "s2 must be a list"),
+            ({"s2": None}, "s2 must be a list"),
+            ({"s2": [True, 0, 0, 0]}, "s2[0] must be an integer or a rational string"),
+            ({"s2": [0, 0.5, 0, 0]}, "s2[1] must be an integer or a rational string"),
+            ({"s2": [0, 0, None, 0]}, "s2[2] must be an integer or a rational string"),
+            ({"s2": [0, 0, 0, "half"]}, "s2[3] must be an integer or a rational string"),
+            ({"s2": [0, 0, -1, 0], "s1": None}, "s1 must be a list"),
+            ({"s2": [0, 0, -1, 0], "s1": [0, False, 0, 0]}, "s1[1] must be an integer"),
+            ({"s2": [0, 0, -1, 0], "s1": [0, 0]}, "s1 has 2 entries, s2 has 4"),
+        ],
+    )
+    def test_malformed_direction_refused(self, square_spec, tmp_path, capsys, doc, message):
+        d = tmp_path / "bad.json"
+        d.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "scan", "--base", str(square_spec), "--dir", str(d), "--samples", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_direction_entries_exact(self, square_spec, tmp_path, capsys):
+        # JSON integers and rational strings mix freely, as in spec offsets.
+        d = tmp_path / "dir.json"
+        d.write_text(json.dumps({"s1": [0, "0", 0, "0"], "s2": [0, "0", -1, "-0/3"]}))
+        code, out, _ = run(
+            capsys, "scan", "--base", str(square_spec), "--dir", str(d), "--samples", "2"
+        )
+        assert code == 0
+        assert [row.split(",")[2] for row in out.strip().splitlines()[1:]] == ["1", "2/3", "1/2"]

@@ -1,6 +1,7 @@
 """Golden outputs: the CLI's bytes on fixed specs must not change.
 
-Each case pins the sha256 of one command's stdout followed by its stderr.
+Each case pins the sha256 of one command's stdout followed by its stderr
+(and, for ``render``, the SVG file it writes).
 A refactor that keeps every exact result keeps these digests; a change that
 alters any output byte (a number, an order, a field, a message) fails here
 and must say why in its own record before the digest is updated.
@@ -44,7 +45,13 @@ GOLDEN = {
     ("chopped3", "info"): "de498dacb30582594ce4925a7bc4de5d13ff39ec60369e14b51b72f0587d66c4",
     ("chopped3", "pack"): "058cf713431fc4ea09823848d6328e7bc9450d813d32e4e7a75f54443114b30d",
     ("square", "scan"): "4ed3f4df49884b9defca372775793e9feebd881ddeadc08218bcdae6393bf581",
+    ("chopped3", "scan"): "4cb82d1840679ab55fc75429f484b47232f7f4dcd7909ed6f3f2de0b6704176d",
+    ("pentagon", "render"): "8fc1b6d71dfbeb4f4462e2f53f733f30fdf87ad0cbdb36f7bd5529bfb3d5ed58",
 }
+
+# The segment of the chopped 3-simplex that the benchmark's ``family``
+# workload scans; it has 12 maximizers at t = 0 and 8 at every other sample.
+CHOPPED3_DIRECTION = {"s2": ["1/50", "-1/50", "1/100", "0", "-1/60", "1/70"]}
 
 
 def run_digest(capsys, argv) -> str:
@@ -60,10 +67,11 @@ def spec_dir(tmp_path_factory):
     for name, args in SPECS.items():
         assert main(["family", *args, "-o", str(d / f"{name}.json"), "--name", name]) == 0
     (d / "dir.json").write_text(json.dumps({"s2": ["0", "0", "-1", "0"]}), encoding="utf-8")
+    (d / "chopped3-dir.json").write_text(json.dumps(CHOPPED3_DIRECTION), encoding="utf-8")
     return d
 
 
-@pytest.mark.parametrize("spec,command", [k for k in GOLDEN if k[1] != "scan"])
+@pytest.mark.parametrize("spec,command", [k for k in GOLDEN if k[1] in COMMANDS])
 def test_command_output(spec_dir, capsys, spec, command):
     argv = [a.format(spec=spec_dir / f"{spec}.json") for a in COMMANDS[command]]
     assert run_digest(capsys, argv) == GOLDEN[spec, command]
@@ -73,3 +81,19 @@ def test_square_scan(spec_dir, capsys):
     argv = ["scan", "--base", str(spec_dir / "square.json"), "--dir", str(spec_dir / "dir.json"),
             "--samples", "16"]
     assert run_digest(capsys, argv) == GOLDEN["square", "scan"]
+
+
+def test_chopped3_scan(spec_dir, capsys):
+    argv = ["scan", "--base", str(spec_dir / "chopped3.json"), "--dir",
+            str(spec_dir / "chopped3-dir.json"), "--samples", "8"]
+    assert run_digest(capsys, argv) == GOLDEN["chopped3", "scan"]
+
+
+def test_pentagon_render(spec_dir, capsys):
+    # The digest covers stdout, stderr and the SVG file, in that order.
+    svg = spec_dir / "pentagon.svg"
+    code = main(["render", str(spec_dir / "pentagon.json"), str(svg)])
+    assert code == 0
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + captured.err + svg.read_text()).encode())
+    assert digest.hexdigest() == GOLDEN["pentagon", "render"]

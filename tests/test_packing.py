@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toricpack.delzant import make_cube, make_simplex
+from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.packing import (
     admissible_simplex,
     build_packing_polytope,
@@ -13,9 +15,42 @@ from toricpack.packing import (
     packing_polytope_vertices,
     realize,
 )
+from toricpack.perturb import perturb, safe_radius_estimate
 from toricpack.polytope import contains, vertex_set
 
 F = Fraction
+
+# The conftest fixtures plus two 8-vertex solids, built once here for the
+# property test below.
+BASES = {
+    "square": make_cube(2),
+    "simplex2": make_simplex(2),
+    "simplex3": make_simplex(3),
+    "rectangle": make_product(make_simplex(1, 2), make_simplex(1, 1)),
+    "pentagon": make_chopped_simplex(F(1, 10), F(1, 10)),
+    "prism": make_product(make_simplex(1), make_simplex(2)),
+    "cube3": make_cube(3),
+    "chopped3": make_chopped_simplex(F(1, 10), F(1, 5), 3),
+}
+
+
+@st.composite
+def admissible_offsets(draw):
+    """A base polytope and an offset vector strictly inside its safe radius."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    base = BASES[name]
+    rho = safe_radius_estimate(base)
+    k = base.hrep.num_facets
+    steps = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return name, tuple(rho * c / 4 for c in steps)
+
+
+def full_system_argmax(D):
+    """Maximum density and its maximizers over every vertex of the unpruned
+    packing system, in lexicographic order."""
+    verts = vertex_set(build_packing_polytope(D).hrep)
+    best = max(density(D, v) for v in verts)
+    return best, [v for v in verts if density(D, v) == best]
 
 
 class TestBuild:
@@ -131,6 +166,27 @@ class TestMaximize:
                         (a + b) / 2 for a, b in zip(vd.vertices[i], vd.vertices[j])
                     )
                     assert density(D, mid) < best
+
+
+class TestMaximizeMatchesFullSystem:
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_offsets())
+    @example(("square", (0,) * 4))
+    @example(("simplex2", (0,) * 3))
+    @example(("simplex3", (0,) * 4))
+    @example(("rectangle", (0,) * 4))
+    @example(("pentagon", (0,) * 5))
+    @example(("prism", (0,) * 5))
+    @example(("cube3", (0,) * 6))
+    @example(("chopped3", (0,) * 6))
+    def test_argmax_of_density(self, case):
+        name, offsets = case
+        D = perturb(BASES[name], offsets)
+        best, packs = maximize(D)
+        expect_best, expect_radii = full_system_argmax(D)
+        assert best == expect_best
+        assert [p.radii for p in packs] == expect_radii
+        assert all(p.density == best for p in packs)
 
 
 class TestRealize:

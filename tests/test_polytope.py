@@ -321,7 +321,6 @@ class TestIntersect:
         r = intersect(P, Q)
         assert not r.is_empty
         assert r.affine_dim == 2
-        assert r.hrep.num_facets == 4
         assert len(r.vertices) == 4
 
     def test_disjoint(self):
