@@ -20,7 +20,7 @@ from .delzant import (
     scale,
     validate_delzant,
 )
-from .linalg import format_rat, rat
+from .linalg import format_rat
 from .packing import Packing, build_packing_polytope
 from .perturb import ScanResult
 from .polytope import HPolytope, HalfSpace
@@ -113,41 +113,62 @@ def vdata_to_json(D: DelzantPolytope) -> dict[str, Any]:
 GENERATOR_NAMES = ("simplex", "cube", "product", "chopped_simplex", "scale")
 
 
-def generator_polytope(name: str, args: list[str]) -> DelzantPolytope:
-    """Instantiate one of the named example generators from string args.
+def generator_polytope(name: str, args: list) -> DelzantPolytope:
+    """Instantiate one of the named example generators.
 
-    Composite generators (product, scale) take colon-joined sub-generator
-    specs such as "simplex:2:1".
+    Each argument is a JSON integer or a string, parsed by its role: an
+    integer for a dimension n, a rational for a scale or an offset (read
+    like a spec offset, by :func:`_rational`), and a colon-joined
+    sub-generator spec such as "simplex:2:1" for the operands of product
+    and scale.  Anything else raises SpecFileError naming ``args[k]``; an
+    error inside a sub-spec is prefixed with the sub-spec's ``args[k]``.
     """
+
+    def n(k: int) -> int:
+        value = args[k]
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        elif _is_int(value):
+            return value
+        raise SpecFileError(f"args[{k}] must be an integer, got {value!r}")
+
+    def q(k: int) -> Fraction:
+        return _rational(args[k], f"args[{k}]")
+
+    def sub(k: int) -> DelzantPolytope:
+        spec = args[k]
+        parts = spec.split(":") if isinstance(spec, str) else [None]
+        if parts[0] not in GENERATOR_NAMES:
+            raise SpecFileError(f"args[{k}] must be a generator spec, got {spec!r}")
+        try:
+            return generator_polytope(parts[0], parts[1:])
+        except SpecFileError as exc:
+            raise SpecFileError(f"args[{k}] = {spec!r}: {exc}") from exc
+
     if name == "simplex":
         if len(args) not in (1, 2):
             raise SpecFileError("simplex takes: n [scale]")
-        return make_simplex(int(args[0]), rat(args[1]) if len(args) > 1 else 1)
+        return make_simplex(n(0), q(1) if len(args) > 1 else 1)
     if name == "cube":
         if len(args) not in (1, 2):
             raise SpecFileError("cube takes: n [scale]")
-        return make_cube(int(args[0]), rat(args[1]) if len(args) > 1 else 1)
+        return make_cube(n(0), q(1) if len(args) > 1 else 1)
     if name == "chopped_simplex":
         if len(args) not in (2, 3):
             raise SpecFileError("chopped_simplex takes: eps1 eps2 [n]")
-        n = int(args[2]) if len(args) > 2 else 2
-        return make_chopped_simplex(rat(args[0]), rat(args[1]), n)
+        return make_chopped_simplex(q(0), q(1), n(2) if len(args) > 2 else 2)
     if name == "product":
         if len(args) != 2:
             raise SpecFileError("product takes: spec_a spec_b")
-        return make_product(_colon_spec(args[0]), _colon_spec(args[1]))
+        return make_product(sub(0), sub(1))
     if name == "scale":
         if len(args) != 2:
             raise SpecFileError("scale takes: spec lam")
-        return scale(_colon_spec(args[0]), rat(args[1]))
+        return scale(sub(0), q(1))
     raise SpecFileError(f"unknown generator: {name}")
-
-
-def _colon_spec(spec: str) -> DelzantPolytope:
-    parts = spec.split(":")
-    if not parts or parts[0] not in GENERATOR_NAMES:
-        raise SpecFileError(f"unknown generator spec: {spec}")
-    return generator_polytope(parts[0], parts[1:])
 
 
 def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope]:
@@ -163,7 +184,6 @@ def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope
         args = doc.get("args", [])
         if not isinstance(args, list):
             raise SpecFileError(f"generator args must be a list, got {args!r}")
-        args = [str(a) for a in args]
         return name, generator_polytope(str(doc["generator"]), args)
     if has_h:
         return name, validate_delzant(hrep_from_json(doc))

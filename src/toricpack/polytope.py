@@ -7,6 +7,16 @@ Prodon 1996) on the homogenized cone, in exact integer arithmetic; the tests
 hold it equal to an exhaustive active-set search.  A polytope is enumerated
 once: reduction to the minimal H-representation hands its vertex set on to
 the incidence and edge data of the result.
+
+Adjacency is decided on bits, by one test shared by double description and
+the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
+their transpose holds, per row, the bitmask of the positions tight on it.
+Two positions are adjacent exactly when the AND of the transposed masks of
+their common rows, started from the mask of all live positions, leaves only
+the pair.  Double description rebuilds the transpose at each insertion and
+keeps, per positive ray, the last third ray that proved a pair
+non-adjacent: one mask test with that witness settles a pair before any AND
+is taken (for the cube-4 packing polytope, 26 k of 64 k candidate pairs).
 """
 
 from __future__ import annotations
@@ -129,12 +139,50 @@ def _greedy_row_basis(rows: list[IntVec]) -> list[int]:
     return bareiss(list(zip(*rows)))[1]
 
 
+def _tight_columns(masks: list[int]) -> list[int]:
+    """Transpose of the tight sets: entry r is the bitmask of the positions
+    i whose ``masks[i]`` holds row r."""
+    cols = [0] * max(masks, default=0).bit_length()
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
+def _third_positions(common: int, pair: int, cols: list[int], alive: int) -> int:
+    """Positions of ``alive`` other than ``pair`` that are tight on every
+    row of ``common``, as a bitmask; 0 exactly when the pair is adjacent.
+
+    ANDs the columns of the common rows into the mask of every live
+    position, highest row first, and stops once only the pair is left.
+    Starting from ``alive`` rather than -1 keeps the test right when the
+    pair shares no row.  (Highest row first measured about 20% faster than
+    lowest first on the cube-4 packing system, for as many ANDs.)
+    """
+    acc = alive
+    while common:
+        top = common.bit_length() - 1
+        acc &= cols[top]
+        if acc == pair:
+            return 0
+        common ^= 1 << top
+    return acc ^ pair
+
+
 def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
     """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}.
 
     Incremental double description with the combinatorial adjacency test;
-    tight sets are bitmasks indexed by row position.  Raises _LowRankCone
-    when rank(rows) < dim (the cone has lineality, hence no extreme rays).
+    tight sets are bitmasks indexed by row position.  At each insertion the
+    tight sets are transposed into one bitmask of rays per row, so that
+    rays p and m are adjacent exactly when the AND of the columns of their
+    common rows is {p, m} (:func:`_third_positions`).  A third ray found on
+    all common rows is kept as p's witness and tried first on p's next
+    pair.  Raises _LowRankCone when rank(rows) < dim (the cone has
+    lineality, hence no extreme rays).
     """
     basis = _greedy_row_basis(rows)
     if len(basis) < dim:
@@ -163,47 +211,33 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
         pos = [i for i, d in enumerate(dots) if d > 0]
         zero = [i for i, d in enumerate(dots) if d == 0]
         neg = [i for i, d in enumerate(dots) if d < 0]
+        bit_k = 1 << k
         if not neg:
-            bit = 1 << k
             for i in zero:
-                masks[i] |= bit
+                masks[i] |= bit_k
             continue
         if not pos and not zero:
             return []
 
-        # Rays tight on a given row, for narrowing the adjacency scan.
-        buckets: dict[int, list[int]] = {}
-        for i, m in enumerate(masks):
-            mm = m
-            while mm:
-                low = mm & -mm
-                buckets.setdefault(low, []).append(i)
-                mm ^= low
-
+        cols = _tight_columns(masks)
+        alive = (1 << len(rays)) - 1
         new_rays: list[IntVec] = []
         new_masks: list[int] = []
-        bit_k = 1 << k
         for p in pos:
             mp = masks[p]
             dp = dots[p]
             rp = rays[p]
+            witness = -1
             for m in neg:
                 common = mp & masks[m]
                 if common.bit_count() < need:
                     continue
-                # Scan the smallest bucket among the common tight rows.
-                scan: list[int] | None = None
-                mm = common
-                while mm:
-                    low = mm & -mm
-                    b = buckets.get(low, [])
-                    if scan is None or len(b) < len(scan):
-                        scan = b
-                    mm ^= low
-                if any(
-                    i != p and i != m and (masks[i] & common) == common
-                    for i in (scan or ())
-                ):
+                # The witness may be a negative ray still to be paired with p.
+                if witness != m and witness >= 0 and masks[witness] & common == common:
+                    continue
+                others = _third_positions(common, (1 << p) | (1 << m), cols, alive)
+                if others:
+                    witness = (others & -others).bit_length() - 1
                     continue
                 dm = dots[m]
                 rm = rays[m]
@@ -211,9 +245,8 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
                     _normalize_ray([dp * rm[c] - dm * rp[c] for c in range(dim)])
                 )
                 new_masks.append(common | bit_k)
-        keep = pos + zero
-        rays = [rays[i] for i in keep] + new_rays
-        masks = [masks[i] | (bit_k if i in zero else 0) for i in keep] + new_masks
+        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
+        masks = [masks[i] for i in pos] + [masks[i] | bit_k for i in zero] + new_masks
     return rays
 
 
@@ -308,17 +341,18 @@ def _edges_from_incidence(n: int, incidence) -> list[tuple[int, int]]:
     """Vertex pairs (i, j) sharing at least n - 1 facets whose common facets
     contain no third vertex.  Those facets cut out the smallest face holding
     both vertices; with exactly two vertices it is the edge between them,
-    whether or not the polytope is simple."""
+    whether or not the polytope is simple.  The test is double
+    description's adjacency test, :func:`_third_positions`."""
     masks = [sum(1 << f for f in inc) for inc in incidence]
+    cols = _tight_columns(masks)
+    alive = (1 << len(masks)) - 1
     edges = []
     for i, mi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             common = mi & masks[j]
             if common.bit_count() < n - 1:
                 continue
-            if not any(
-                k != i and k != j and mk & common == common for k, mk in enumerate(masks)
-            ):
+            if not _third_positions(common, (1 << i) | (1 << j), cols, alive):
                 edges.append((i, j))
     return edges
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,12 @@ class TestFamily:
     def test_invalid_args_domain(self, capsys):
         code, _, err = run(capsys, "family", "chopped_simplex", "3/4", "1/2")
         assert code == 2
+
+    def test_non_integer_n_refused(self, capsys):
+        code, out, err = run(capsys, "family", "cube", "2.5")
+        assert code == 1
+        assert out == ""
+        assert "args[0] must be an integer, got '2.5'" in err
 
     def test_prism_counts(self, tmp_path, capsys):
         out = tmp_path / "prism.json"
@@ -153,6 +163,45 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert "generator args must be a list" in err
+
+    @pytest.mark.parametrize(
+        "generator,args,message",
+        [
+            ("cube", [2.5], "args[0] must be an integer, got 2.5"),
+            ("cube", [True], "args[0] must be an integer, got True"),
+            ("cube", [None], "args[0] must be an integer, got None"),
+            ("chopped_simplex", ["1/10", 0.5], "args[1] must be an integer or a rational string"),
+            ("cube", [2, "half"], "args[1] must be an integer or a rational string"),
+            ("product", ["simplex:2.5", "cube:2"],
+             "args[0] = 'simplex:2.5': args[0] must be an integer, got '2.5'"),
+            ("product", ["cube:2", "simplex"], "args[1] = 'simplex': simplex takes: n [scale]"),
+            ("product", ["cube:2", 2], "args[1] must be a generator spec, got 2"),
+            ("scale", ["orb:2", "3"], "args[0] must be a generator spec, got 'orb:2'"),
+        ],
+    )
+    def test_generator_arg_refused(self, tmp_path, capsys, generator, args, message):
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps({"generator": generator, "args": args}))
+        code, out, err = run(capsys, "validate", str(spec))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "generator,args",
+        [
+            ("cube", [2, 1]),
+            ("cube", ["2", "3/2"]),
+            ("chopped_simplex", ["1/10", "1/5", 3]),
+            ("scale", ["cube:2:1", 3]),
+        ],
+    )
+    def test_generator_args_by_role(self, tmp_path, capsys, generator, args):
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps({"generator": generator, "args": args}))
+        code, out, err = run(capsys, "validate", str(spec))
+        assert code == 0, err
+        assert "valid Delzant polytope" in out
 
 
 class TestPack:
@@ -332,3 +381,24 @@ class TestScan:
         )
         assert code == 0
         assert [row.split(",")[2] for row in out.strip().splitlines()[1:]] == ["1", "2/3", "1/2"]
+
+
+def test_python_dash_m(tmp_path):
+    # ``python -m toricpack`` runs the CLI and exits with its code.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def toricpack(*argv):
+        return subprocess.run([sys.executable, "-m", "toricpack", *argv],
+                              env=env, capture_output=True, text=True)
+
+    spec = tmp_path / "square.json"
+    made = toricpack("family", "cube", "2", "-o", str(spec))
+    assert made.returncode == 0, made.stderr
+    packed = toricpack("pack", str(spec), "--json")
+    assert packed.returncode == 0, packed.stderr
+    assert json.loads(packed.stdout)["max_density"] == "1"
+    bad = toricpack("family", "cube", "2.5")
+    assert bad.returncode == 1
+    assert "args[0] must be an integer" in bad.stderr

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 import toricpack.polytope
 from reference import brute_force_edges, brute_force_vertex_set
-from toricpack.delzant import validate_delzant
+from toricpack.delzant import (
+    make_chopped_simplex,
+    make_cube,
+    make_product,
+    make_simplex,
+    validate_delzant,
+)
 from toricpack.linalg import mat_rank, vec_add, vec_scale
+from toricpack.packing import _edge_system, maximize
 from toricpack.perturb import perturb
 from toricpack.polytope import (
     DegeneratePolytopeError,
@@ -17,6 +24,8 @@ from toricpack.polytope import (
     HPolytope,
     HalfSpace,
     UnboundedPolytopeError,
+    _homogenized_rows,
+    _polytope_rays,
     contains,
     enumerate_vertices,
     hpolytope,
@@ -198,6 +207,73 @@ class TestEnumerationOracle:
                 P.dim, tuple(map(_polar_halfspace, vertex_set(polar)))
             )
             assert set(vertex_set(rebuilt)) == set(shifted)
+
+
+def checked_rays(P):
+    """_polytope_rays(P) after checking double description's invariants:
+    no ray twice, and every ray an extreme ray of the homogenized cone,
+    inside it with tight rows of rank dim - 1."""
+    rays = _polytope_rays(P)
+    assert len(set(rays)) == len(rays)
+    rows = _homogenized_rows(P)
+    for ray in rays:
+        assert ray[0] > 0
+        dots = [sum(a * b for a, b in zip(row, ray)) for row in rows]
+        assert all(d >= 0 for d in dots)
+        assert mat_rank([row for row, d in zip(rows, dots) if d == 0]) == P.dim
+    return rays
+
+
+class TestDoubleDescriptionInvariants:
+    @given(bounded_polytopes())
+    @example(cross_polytope(3))
+    @settings(max_examples=30, deadline=None)
+    def test_random_polytopes(self, P):
+        try:
+            brute = brute_force_vertex_set(P)
+        except EmptyPolytopeError:
+            return
+        assert len(checked_rays(P)) == len(brute)
+
+    @pytest.mark.parametrize(
+        "D,count",
+        [
+            (make_cube(3), 35),
+            (make_product(make_simplex(1), make_simplex(2)), 28),
+            (make_chopped_simplex(F(1, 10), F(1, 5), 3), 125),
+            (make_product(make_simplex(3), make_simplex(1)), 156),
+            (make_cube(4), 743),
+            (make_product(make_simplex(2), make_cube(2)), 1816),
+            (make_chopped_simplex(F(1, 10), F(1, 5), 4), 1400),
+        ],
+        ids=["cube3", "prism", "chopped3", "simplex3xsimplex1", "cube4", "simplex2xsquare",
+             "chopped4"],
+    )
+    def test_edge_systems(self, D, count):
+        # The packing systems that maximize enumerates.  The brute-force
+        # reference reaches the prism's; the other counts are pinned.
+        P = _edge_system(D)
+        assert len(checked_rays(P)) == count
+        if P.num_facets <= 15:
+            assert len(brute_force_vertex_set(P)) == count
+
+    @pytest.mark.parametrize(
+        "rows,ends",
+        [
+            ([((1,), 0), ((-1,), -3)], {(1, 0), (1, 3)}),
+            ([((1,), F(1, 2)), ((-1,), F(-7, 3))], {(2, 1), (3, 7)}),
+            # Redundant rows force insertions into the 2-dimensional cone,
+            # where the two rays to join share no tight row.
+            ([((1,), 0), ((1,), -1), ((-1,), -3), ((-1,), -5)], {(1, 0), (1, 3)}),
+        ],
+    )
+    def test_interval_endpoints(self, rows, ends):
+        rays = checked_rays(hpolytope(1, rows))
+        assert len(rays) == 2 and set(rays) == ends
+
+    def test_cube4_maximize(self):
+        best, packings = maximize(make_cube(4))
+        assert best == F(1, 3) and len(packings) == 2
 
 
 def _polar_halfspace(v):
