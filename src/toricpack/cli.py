@@ -23,7 +23,7 @@ from .jsonio import (
     scan_summary,
     spec_file_document,
 )
-from .linalg import format_rat
+from .linalg import format_rat, vec_add, vec_scale
 from .packing import maximize, realize
 from .perturb import (
     PerturbationError,
@@ -31,7 +31,7 @@ from .perturb import (
     safe_radius_estimate,
     scan_segment,
 )
-from .polytope import PolytopeError, enumerate_vertices
+from .polytope import PolytopeError
 from .svgrender import boundary_order, render_packing_svg
 
 
@@ -91,11 +91,10 @@ def _render_svg(D, packing) -> str:
     order = boundary_order(vd.vertices, vd.edges)
     polygon = [vd.vertices[i] for i in order]
     labels = [f"r={format_rat(D.corner_radii[i])}" for i in order]
-    hulls = []
-    for simplex in realize(D, packing.radii):
-        hull_vd = enumerate_vertices(simplex.hull)
-        horder = boundary_order(hull_vd.vertices, hull_vd.edges)
-        hulls.append([hull_vd.vertices[i] for i in horder])
+    hulls = [
+        sorted([s.center] + [vec_add(s.center, vec_scale(s.radius, d)) for d in s.frame_columns])
+        for s in realize(D, packing.radii)
+    ]
     return render_packing_svg(polygon, hulls, labels)
 
 

@@ -1,4 +1,4 @@
-"""Delzant polytopes: validation, vertex frames, radii, fans, generators.
+"""Delzant polytopes: validation, vertex frames, radii, generators.
 
 A Delzant polytope is simple (n facets at every vertex) and at each vertex
 the primitive edge directions form a Z-basis of the lattice, i.e. an
@@ -155,28 +155,13 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
 
 
 # ---------------------------------------------------------------------------
-# Normal fan.
-
-
-def same_fan(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
-    """True iff the facet normal lists agree (same order) and the
-    vertex-facet incidence combinatorics coincide."""
-    h1, h2 = D1.hrep.halfspaces, D2.hrep.halfspaces
-    if len(h1) != len(h2) or D1.dim != D2.dim:
-        return False
-    if any(a.normal != b.normal for a, b in zip(h1, h2)):
-        return False
-    return {frozenset(s) for s in D1.vdata.incidence} == {
-        frozenset(s) for s in D2.vdata.incidence
-    }
-
-
-# ---------------------------------------------------------------------------
 # Generators.
 
 
 def make_simplex(n: int, scale=1) -> DelzantPolytope:
     """Standard n-simplex {x >= 0, sum x <= s}, dilated by ``scale``."""
+    if n < 1:
+        raise ValueError(f"simplex dimension must be >= 1, got {n}")
     s = rat(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
@@ -187,6 +172,8 @@ def make_simplex(n: int, scale=1) -> DelzantPolytope:
 
 def make_cube(n: int, scale=1) -> DelzantPolytope:
     """Unit n-cube [0, s]^n."""
+    if n < 1:
+        raise ValueError(f"cube dimension must be >= 1, got {n}")
     s = rat(scale)
     if s <= 0:
         raise ValueError("scale must be positive")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delzant import DelzantPolytope
-from .linalg import IntVec, Vec, as_vec, vec_add
+from .linalg import IntVec, Vec, as_vec
 from .polytope import (
     HalfSpace,
     HPolytope,
@@ -69,14 +69,6 @@ class AdmissibleSimplex:
     center: Vec
     hull: HPolytope
     outer_facet_index: int
-
-    def apply(self, x) -> Vec:
-        """Affine map sending the model corner into the polytope."""
-        pt = as_vec(x)
-        img = [Fraction(0)] * len(self.center)
-        for col, coeff in zip(self.frame_columns, pt):
-            img = [a + coeff * c for a, c in zip(img, col)]
-        return vec_add(tuple(img), self.center)
 
     def hull_volume(self) -> Fraction:
         return volume(self.hull)

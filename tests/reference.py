@@ -1,4 +1,5 @@
-"""Brute-force references for the library's vertex and edge enumeration.
+"""Brute-force references for the library's vertex and edge enumeration,
+and for offset perturbation.
 
 The library enumerates vertices by double description only, and finds
 edges from vertex-facet incidence alone.  This module keeps the exhaustive
@@ -6,12 +7,30 @@ active-set search and the rank test for edges as the references the tests
 compare them against.  Neither shares an enumeration step with the
 library; both use its exact elimination in ``linalg``, which
 ``test_linalg`` checks against the cofactor and Leibniz formulas.
+
+The library builds an admissible perturbation from the base's vertex
+cones; :func:`reference_perturb` enumerates and validates the shifted
+H-representation instead and compares fans, and is the oracle for it.
 """
 
 import itertools
+from fractions import Fraction
 
-from toricpack.linalg import SingularMatrixError, mat_rank, solve_linear
-from toricpack.polytope import EmptyPolytopeError, HPolytope
+from toricpack.delzant import (
+    DelzantPolytope,
+    NotDelzantError,
+    _validate_reduced,
+    validate_delzant,
+)
+from toricpack.linalg import SingularMatrixError, as_vec, mat_rank, solve_linear
+from toricpack.perturb import PerturbationError
+from toricpack.polytope import (
+    DegeneratePolytopeError,
+    EmptyPolytopeError,
+    HalfSpace,
+    HPolytope,
+    _reduce,
+)
 
 
 def brute_force_vertex_set(P: HPolytope) -> tuple:
@@ -46,3 +65,72 @@ def brute_force_edges(P: HPolytope, vertices, incidence) -> tuple:
         if mat_rank([P.halfspaces[k].normal for k in common]) == P.dim - 1:
             edges.append((i, j))
     return tuple(edges)
+
+
+def same_fan(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
+    """True iff the facet normal lists agree (same order) and the
+    vertex-facet incidence combinatorics coincide."""
+    h1, h2 = D1.hrep.halfspaces, D2.hrep.halfspaces
+    if len(h1) != len(h2) or D1.dim != D2.dim:
+        return False
+    if any(a.normal != b.normal for a, b in zip(h1, h2)):
+        return False
+    return {frozenset(s) for s in D1.vdata.incidence} == {
+        frozenset(s) for s in D2.vdata.incidence
+    }
+
+
+def shifted(base: DelzantPolytope, s) -> HPolytope:
+    """The base's H-representation with offsets lambda_i + s^i."""
+    return HPolytope(
+        base.dim,
+        tuple(HalfSpace(h.normal, h.offset + si) for h, si in zip(base.hrep.halfspaces, s)),
+    )
+
+
+def reference_perturb(base: DelzantPolytope, s) -> DelzantPolytope:
+    """The polytope with offsets lambda_i + s^i by enumeration: reduce the
+    shifted H-representation, validate it, and compare its fan with the
+    base's.  The first failure raises :class:`PerturbationError`."""
+    sv = as_vec(s)
+    if len(sv) != base.hrep.num_facets:
+        raise ValueError("offset vector length must match the facet count")
+    raw = shifted(base, sv)
+    try:
+        reduced, vd = _reduce(raw)
+    except EmptyPolytopeError as exc:
+        raise PerturbationError("empty", str(exc)) from exc
+    except DegeneratePolytopeError as exc:
+        raise PerturbationError("empty", "no interior") from exc
+    if len(reduced.halfspaces) != len(raw.halfspaces):
+        raise PerturbationError(
+            "lost facet",
+            f"{len(raw.halfspaces) - len(reduced.halfspaces)} facet(s) became redundant",
+        )
+    try:
+        D = _validate_reduced(reduced, vd)
+    except NotDelzantError as exc:
+        raise PerturbationError("not Delzant", str(exc)) from exc
+    if not same_fan(D, base):
+        raise PerturbationError("fan changed")
+    return D
+
+
+def vertex_affinity_holds(base: DelzantPolytope, s1, s2, t) -> bool:
+    """Exact check, on the enumerated polytopes, that vertices interpolate
+    affinely in the offsets: v_I((1-t) s1 + t s2) = (1-t) v_I(s1) + t v_I(s2),
+    vertices matched by their active facet sets.  The three offsets must
+    keep every facet, so that facet indices agree."""
+    t = Fraction(t)
+    mid_s = tuple((1 - t) * a + t * b for a, b in zip(as_vec(s1), as_vec(s2)))
+
+    def by_active(s) -> dict:
+        D = validate_delzant(shifted(base, as_vec(s)))
+        assert D.hrep.num_facets == base.hrep.num_facets
+        return {frozenset(inc): v for v, inc in zip(D.vertices, D.vdata.incidence)}
+
+    m1, m2, mid = by_active(s1), by_active(s2), by_active(mid_s)
+    return all(
+        v == tuple((1 - t) * a + t * b for a, b in zip(m1[key], m2[key]))
+        for key, v in mid.items()
+    )

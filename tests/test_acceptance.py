@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from reference import vertex_affinity_holds
 
 from toricpack.delzant import (
     make_chopped_simplex,
@@ -29,7 +30,6 @@ from toricpack.perturb import (
     is_admissible,
     safe_radius_estimate,
     scan_segment,
-    vertex_affinity_check,
 )
 from toricpack.polytope import contains, volume
 
@@ -191,7 +191,8 @@ def test_c07_regularity_certificates():
 
 
 def test_c08_vertex_affinity_random():
-    """100 seeded random admissible (s1, s2, t): exact vertex affinity."""
+    """100 seeded random admissible (s1, s2, t): exact vertex affinity of
+    the enumerated shifted H-representations."""
     import random
 
     rng = random.Random(20260809)
@@ -210,7 +211,7 @@ def test_c08_vertex_affinity_random():
             is_admissible(D, s1) and is_admissible(D, s2) and is_admissible(D, mid)
         ):
             continue
-        if not vertex_affinity_check(D, s1, s2, t):
+        if not vertex_affinity_holds(D, s1, s2, t):
             failures += 1
         done += 1
     assert failures == 0

@@ -56,6 +56,21 @@ class TestFamily:
         code, _, err = run(capsys, "family", "chopped_simplex", "3/4", "1/2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("simplex", "0"), "simplex dimension must be >= 1, got 0"),
+            (("simplex", "-1"), "simplex dimension must be >= 1, got -1"),
+            (("product", "simplex:0", "cube:1"), "simplex dimension must be >= 1, got 0"),
+            (("cube", "0"), "cube dimension must be >= 1, got 0"),
+        ],
+    )
+    def test_dimension_below_one_named(self, capsys, args, message):
+        code, out, err = run(capsys, "family", *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_integer_n_refused(self, capsys):
         code, out, err = run(capsys, "family", "cube", "2.5")
         assert code == 1

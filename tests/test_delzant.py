@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import same_fan
 
 from toricpack.delzant import (
     NotDelzantError,
@@ -9,7 +10,6 @@ from toricpack.delzant import (
     make_product,
     make_simplex,
     rational_length,
-    same_fan,
     scale,
     translate,
     validate_delzant,

@@ -16,7 +16,7 @@ from toricpack.packing import (
     realize,
 )
 from toricpack.perturb import perturb, safe_radius_estimate
-from toricpack.polytope import contains, vertex_set
+from toricpack.polytope import contains, enumerate_vertices, vertex_set
 
 F = Fraction
 
@@ -219,10 +219,20 @@ class TestRealize:
             s = admissible_simplex(pentagon, i, r)
             assert s.hull_volume() == r**2 / 2
 
-    def test_affine_map_hits_edges(self, square):
+    def test_affine_map_hits_edges(self, square, pentagon, prism):
+        # The frame maps the model corner onto the hull: its corners are the
+        # center and the points at the radius along each frame column.
         s = admissible_simplex(square, 0, F(3, 4))
-        assert s.apply((0, 0)) == (F(0), F(0))
-        assert s.apply((F(3, 4), 0)) in {(F(3, 4), F(0)), (F(0), F(3, 4))}
+        assert set(enumerate_vertices(s.hull).vertices) == {
+            (F(0), F(0)), (F(3, 4), F(0)), (F(0), F(3, 4))
+        }
+        for D in (square, pentagon, prism):
+            for i, r in enumerate(D.corner_radii):
+                s = admissible_simplex(D, i, r)
+                corners = [s.center] + [
+                    tuple(c + r * x for c, x in zip(s.center, d)) for d in s.frame_columns
+                ]
+                assert enumerate_vertices(s.hull).vertices == tuple(sorted(corners))
 
 
 class TestDisjointness:

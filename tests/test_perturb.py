@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import reference_perturb, same_fan, vertex_affinity_holds
 
 from toricpack.delzant import (
     make_chopped_simplex,
     make_cube,
-    same_fan,
+    make_product,
+    make_simplex,
     scale,
     translate,
+    validate_delzant,
 )
 from toricpack.perturb import (
     PerturbationError,
@@ -20,14 +23,49 @@ from toricpack.perturb import (
     perturb,
     safe_radius_estimate,
     scan_segment,
-    vertex_affinity_check,
 )
+from toricpack.polytope import hpolytope
 
 F = Fraction
 
 # make_cube(2) facet order: x >= 0, y >= 0, -x >= -1, -y >= -1; a negative
 # offset shift on facet 2 moves the wall x = 1 outward.
 RECT_DIR = (0, 0, -1, 0)
+
+# [0,1]^3 with the edges at the origin chopped by x + y >= 1/4 (facet 6)
+# and x + z >= 1/8 (facet 7).  Moving the two chops toward each other makes
+# them meet at a vertex on four facets, then swaps their order: the fan
+# changes without losing a facet.
+CHOPPED_CUBE = validate_delzant(
+    hpolytope(
+        3,
+        [(h.normal, h.offset) for h in make_cube(3).hrep.halfspaces]
+        + [((1, 1, 0), F(1, 4)), ((1, 0, 1), F(1, 8))],
+    )
+)
+
+
+# [0,2]^2 with the corners (0,0) and (2,2) chopped by x + y >= 1 and
+# x + y <= 3.  The vertices (1,0) and (1,2) share no facet, so offsets
+# that move the chops reorder them.
+HEXAGON = validate_delzant(
+    hpolytope(
+        2,
+        [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2), ((1, 1), 1), ((-1, -1), -3)],
+    )
+)
+
+
+def chop_shift(k):
+    return (0,) * 6 + (-k, k)
+
+
+def outcome(fn, base, s):
+    """The polytope, or the message of the PerturbationError raised."""
+    try:
+        return fn(base, s)
+    except PerturbationError as exc:
+        return str(exc)
 
 
 class TestPerturb:
@@ -55,16 +93,94 @@ class TestPerturb:
         with pytest.raises(PerturbationError, match="lost facet"):
             perturb(pentagon, s)
 
-    def test_not_delzant_via_vertex_merge(self, pentagon):
-        # Deepening both chops until the cut corners collide produces a
-        # vertex where three facets meet.
+    def test_vertex_merge_loses_facet(self, pentagon):
+        # Deepening both chops until the cut corners collide pushes the
+        # diagonal facet out of the polytope.
         s = [0, 0, 0, F(2, 5), F(2, 5)]
-        with pytest.raises(PerturbationError, match="not Delzant|empty|lost facet"):
-            perturb(pentagon, s)
+        for fn in (perturb, reference_perturb):
+            with pytest.raises(PerturbationError) as info:
+                fn(pentagon, s)
+            assert info.value.code == "lost facet"
 
     def test_dimension_check(self, square):
         with pytest.raises(ValueError):
             perturb(square, (0, 0))
+
+
+class TestCodes:
+    """Each failure code, from the library and from the enumeration route."""
+
+    @pytest.mark.parametrize("fn", [perturb, reference_perturb])
+    @pytest.mark.parametrize(
+        "base, s, code, message",
+        [
+            (make_cube(2), (1, 0, 0, 0), "empty", "empty: no interior"),
+            (
+                make_chopped_simplex(F(1, 10), F(1, 10)),
+                (0, 0, 0, F(-1, 5), 0),
+                "lost facet",
+                "lost facet: 1 facet(s) became redundant",
+            ),
+            (CHOPPED_CUBE, chop_shift(F(1, 16)), "not Delzant", "not Delzant: not simple at vertex 4"),
+            (CHOPPED_CUBE, chop_shift(F(1, 8)), "fan changed", "fan changed"),
+        ],
+    )
+    def test_code(self, fn, base, s, code, message):
+        with pytest.raises(PerturbationError) as info:
+            fn(base, s)
+        assert info.value.code == code
+        assert str(info.value) == message
+
+    def test_vertices_reordered(self):
+        s = (0, 0, 0, 0, F(-1, 20), F(1, 10))
+        D = perturb(HEXAGON, s)
+        assert HEXAGON.vertices.index((1, 0)) < HEXAGON.vertices.index((1, 2))
+        assert D.vertices.index((F(19, 20), 0)) > D.vertices.index((F(9, 10), 2))
+        assert D == reference_perturb(HEXAGON, s)
+
+    def test_just_before_the_chops_meet(self):
+        D = perturb(CHOPPED_CUBE, chop_shift(F(1, 17)))
+        assert D == reference_perturb(CHOPPED_CUBE, chop_shift(F(1, 17)))
+        assert same_fan(D, CHOPPED_CUBE)
+
+
+class TestMatchesReference:
+    """The fan-based construction equals reduction, validation and fan
+    comparison of the shifted H-representation: the same polytope, or the
+    same error message."""
+
+    BASES = {
+        "square": make_cube(2),
+        "pentagon": make_chopped_simplex(F(1, 10), F(1, 10)),
+        "cube3": make_cube(3),
+        "chopped3": make_chopped_simplex(F(1, 10), F(1, 5), 3),
+        "pentagon x interval": make_product(
+            make_chopped_simplex(F(1, 10), F(1, 10)), make_simplex(1)
+        ),
+        "cube4": make_cube(4),
+        "chopped cube": CHOPPED_CUBE,
+        "hexagon": HEXAGON,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_seeded_offsets(self, name):
+        base = self.BASES[name]
+        rho = safe_radius_estimate(base)
+        rng = random.Random(name)
+        accepted = rejected = 0
+        for factor in (F(1, 2), 1, 2, 4):
+            for _ in range(6):
+                s = tuple(
+                    factor * rho * F(rng.randint(-4, 4), 4)
+                    for _ in range(base.hrep.num_facets)
+                )
+                got = outcome(perturb, base, s)
+                assert got == outcome(reference_perturb, base, s), s
+                if isinstance(got, str):
+                    rejected += 1
+                else:
+                    accepted += 1
+        assert accepted and rejected
 
 
 class TestAdmissibility:
@@ -243,11 +359,14 @@ class TestScan:
 
 
 class TestVertexAffinity:
+    """Vertices of the enumerated shifted H-representations are affine in
+    the offsets, the structure that :func:`perturb` builds on."""
+
     def test_t_zero(self, square):
-        assert vertex_affinity_check(square, (0,) * 4, RECT_DIR, 0)
+        assert vertex_affinity_holds(square, (0,) * 4, RECT_DIR, 0)
 
     def test_square_family_half(self, square):
-        assert vertex_affinity_check(
+        assert vertex_affinity_holds(
             square, (F(1, 8), F(-1, 8), F(1, 16), 0), RECT_DIR, F(1, 2)
         )
 
@@ -266,7 +385,7 @@ class TestVertexAffinity:
                 mid = tuple((1 - t) * a + t * b for a, b in zip(s1, s2))
                 if not is_admissible(D, mid):
                     continue
-                assert vertex_affinity_check(D, s1, s2, t)
+                assert vertex_affinity_holds(D, s1, s2, t)
                 done += 1
 
     def test_fan_constant_along_family(self, square):

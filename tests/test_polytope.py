@@ -17,7 +17,7 @@ from toricpack.delzant import (
 )
 from toricpack.linalg import mat_rank, vec_add, vec_scale
 from toricpack.packing import _edge_system, maximize
-from toricpack.perturb import perturb
+from toricpack.perturb import PerturbationError, perturb
 from toricpack.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -417,7 +417,8 @@ class TestIntersect:
 
 
 class TestOneEnumeration:
-    """Reduction hands its vertex set on, so each polytope is enumerated once."""
+    """Reduction hands its vertex set on, so each polytope is enumerated at
+    most once."""
 
     @pytest.fixture()
     def enumerated(self, monkeypatch):
@@ -436,7 +437,12 @@ class TestOneEnumeration:
         assert len(enumerated) == 1
 
     def test_perturb(self, pentagon, enumerated):
-        perturb(pentagon, (0,) * 5)
+        # An admissible offset is built on the base's fan; only a rejected
+        # one is enumerated, to name the failure.
+        perturb(pentagon, (0, 0, 0, F(1, 100), 0))
+        assert len(enumerated) == 0
+        with pytest.raises(PerturbationError):
+            perturb(pentagon, (0, 0, 0, F(-1, 5), 0))
         assert len(enumerated) == 1
 
     def test_intersect(self, enumerated):
