@@ -9,6 +9,7 @@ constructions consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,6 +17,7 @@ from functools import cached_property
 from .linalg import (
     IntVec,
     Vec,
+    dot,
     mat_det,
     primitive_direction,
     rat,
@@ -27,7 +29,6 @@ from .polytope import (
     PolytopeError,
     VertexData,
     _reduce,
-    volume,
 )
 
 
@@ -80,7 +81,30 @@ class DelzantPolytope:
 
     @cached_property
     def euclidean_volume(self) -> Fraction:
-        return volume(self.hrep, self.vdata)
+        """Exact Euclidean volume by Brion's formula over the vertex cones
+        (Brion 1988; Lawrence 1991).
+
+        Each vertex cone is unimodular with edge directions d_f, so for any
+        xi with no <xi, d_f> = 0,
+
+            vol = (1/n!) sum_v <xi, v>^n / prod_f (-<xi, d_f>).
+
+        Take xi = (1, M, ..., M^(n-1)) with M = 1 + the largest |entry| of
+        any frame direction.  For a nonzero integral d whose last nonzero
+        entry is d_k, |d_k M^k| >= M^k, while the lower terms sum to at most
+        (M - 1)(1 + M + ... + M^(k-1)) = M^k - 1 in absolute value; so
+        <xi, d> != 0.
+        """
+        n = self.dim
+        m = 1 + max(abs(c) for f in self.frames for d in f.directions for c in d)
+        xi = tuple(m**k for k in range(n))
+        total = Fraction(0)
+        for v, frame in zip(self.vertices, self.frames):
+            denom = 1
+            for d in frame.directions:
+                denom *= -dot(xi, d)
+            total += dot(xi, v) ** n / denom
+        return total / math.factorial(n)
 
 
 def rational_length(a, b) -> Fraction:
@@ -114,7 +138,6 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
         neighbors[j].append(i)
 
     frames: list[VertexFrame] = []
-    radii: list[Fraction] = []
     for i in range(nverts):
         active = vd.incidence[i]
         if len(active) != n or len(neighbors[i]) != n:
@@ -142,8 +165,16 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
                 f"not unimodular at vertex {i} (det = {det})"
             )
         frames.append(VertexFrame(i, tuple(dirs), tuple(lens), tuple(order)))
-        radii.append(min(lens))
+    return _from_frames(reduced, vd, tuple(frames))
 
+
+def _from_frames(
+    reduced: HPolytope, vd: VertexData, frames: tuple[VertexFrame, ...]
+) -> DelzantPolytope:
+    """The Delzant polytope with these vertex frames: its corner radii are
+    the least edge lengths, and its pair bounds follow from the radii and
+    the edges."""
+    radii = [min(f.lengths) for f in frames]
     bounds: list[tuple[Fraction, ...]] = []
     for f in frames:
         row = [radii[f.vertex_index] + r for r in radii]
@@ -151,7 +182,7 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
         for t, j in zip(f.lengths, f.neighbor_indices):
             row[j] = t
         bounds.append(tuple(row))
-    return DelzantPolytope(reduced, vd, tuple(frames), tuple(radii), tuple(bounds))
+    return DelzantPolytope(reduced, vd, frames, tuple(radii), tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +238,7 @@ def make_chopped_simplex(eps1, eps2, n: int = 2) -> DelzantPolytope:
     """
     e1, e2 = rat(eps1), rat(eps2)
     if n < 2:
-        raise ValueError("chopped simplex needs dimension >= 2")
+        raise ValueError(f"chopped simplex dimension must be >= 2, got {n}")
     if e1 < 0 or e2 < 0:
         raise ValueError("chop depths must be nonnegative")
     if e1 + e2 > 1:

@@ -100,13 +100,6 @@ def direction_from_json(doc: Any) -> tuple[list[Fraction], list[Fraction]]:
     return s1, s2
 
 
-def vdata_to_json(D: DelzantPolytope) -> dict[str, Any]:
-    return {
-        "vertices": [[format_rat(c) for c in v] for v in D.vertices],
-        "edges": [list(e) for e in D.vdata.edges],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Spec files: {"halfspaces": ...} or {"generator": ..., "args": [...]}.
 

@@ -136,12 +136,6 @@ def mat_det(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
-def is_unimodular(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the square integer matrix has determinant +1 or -1."""
-    d = mat_det(rows)
-    return d == 1 or d == -1
-
-
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
     """Exact unique solution of A x = b; raises on singular systems."""
     n = len(rows)
@@ -203,8 +197,7 @@ def nthroot_bounds(q: Fraction, n: int, digits: int) -> tuple[Fraction, Fraction
     if q < 0:
         raise ValueError("negative radicand")
     scale = 10**digits
-    # floor((num/den)^(1/n) * scale) = floor_nthroot(num * den^(n-1) * scale^n) // den
-    lo_int = floor_nthroot(q.numerator * q.denominator ** (n - 1) * scale**n, n) // q.denominator
+    lo_int = _floor_root_scaled(q, n, digits)
     return Fraction(lo_int, scale), Fraction(lo_int + 1, scale)
 
 

@@ -26,7 +26,6 @@ from .polytope import (
     contains,
     intersect,
     vertex_set,
-    volume,
 )
 
 
@@ -69,9 +68,6 @@ class AdmissibleSimplex:
     center: Vec
     hull: HPolytope
     outer_facet_index: int
-
-    def hull_volume(self) -> Fraction:
-        return volume(self.hull)
 
 
 def _packing_rows(D: DelzantPolytope, pairs) -> HPolytope:

@@ -4,12 +4,12 @@ Moving each facet offset by s^i sweeps out a family of polytopes with the
 same normals.  Admissible parameters keep the facet count, the Delzant
 property, and the normal fan.  On a fixed fan each vertex is affine in the
 parameter, v_I(s) = v_I + sum_{f in I} s^f d_f along the base's vertex
-frame, so an admissible member is built from the base's vertex cones with
-no vertex enumeration; only a rejected parameter is enumerated, to name
-what failed.  Along segments of admissible parameters the polytopes
-interpolate Minkowski-linearly, and the n-th roots of volume and of
-maximal density satisfy discrete concavity/convexity certificates checked
-here in exact arithmetic.
+frame, so an admissible member is built from the base's vertex cones, and
+keeps their frame directions, with no vertex enumeration; only a rejected
+parameter is enumerated, to name what failed.  Along segments of
+admissible parameters the polytopes interpolate Minkowski-linearly, and
+the n-th roots of volume and of maximal density satisfy discrete
+concavity/convexity certificates checked here in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from fractions import Fraction
 from .delzant import (
     DelzantPolytope,
     NotDelzantError,
+    VertexFrame,
+    _from_frames,
     _validate_reduced,
 )
 from .linalg import (
@@ -65,7 +67,10 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     facets is v_I(s) = v_I + sum_{f in I} s^f d_f.  The offset is accepted
     exactly when every facet outside I keeps strictly positive slack at
     every v_I(s), and D(s) is then the moved vertices in lexicographic order
-    with the base's incidence and edges, renumbered; nothing is enumerated.
+    with the base's incidence, edges and frame directions, renumbered;
+    nothing is enumerated and no frame is recomputed.  The edge at v_I(s)
+    along d_f leaves facet f and N_I d_f = e_f, so its lattice length is the
+    slack of facet f at the moved neighbour it reaches.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
     facets I, so it is a simple vertex of D(s).  Its edge along d_f keeps
@@ -112,7 +117,16 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             tuple(incidence[i] for i in order),
             tuple(edges),
         )
-        return _validate_reduced(shifted, vd)
+        frames = []
+        for k, i in enumerate(order):
+            frame = base.frames[i]
+            lengths = tuple(
+                shifted.halfspaces[f].eval_at(moved[j])
+                for f, j in zip(incidence[i], frame.neighbor_indices)
+            )
+            neighbors = tuple(rank[j] for j in frame.neighbor_indices)
+            frames.append(VertexFrame(k, frame.directions, lengths, neighbors))
+        return _from_frames(shifted, vd, tuple(frames))
     try:
         reduced, vd = _reduce(shifted)
     except EmptyPolytopeError as exc:

@@ -21,7 +21,6 @@ is taken (for the cube-4 packing polytope, 26 k of 64 k candidate pairs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +32,7 @@ from .linalg import (
     bareiss,
     dot,
     gcd_primitive,
-    mat_det,
     rat,
-    vec_sub,
 )
 
 
@@ -399,55 +396,6 @@ def contains(P: HPolytope, x) -> bool:
     if len(pt) != P.dim:
         raise ValueError("dimension mismatch")
     return all(h.eval_at(pt) >= 0 for h in P.halfspaces)
-
-
-# ---------------------------------------------------------------------------
-# Volume by recursive facet triangulation.
-
-
-def volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
-    """Exact Euclidean volume.
-
-    Anchors at the lexicographically smallest vertex, triangulates every
-    facet not containing it recursively, and sums |det| / n! per simplex.
-    """
-    if vd is None:
-        vd = enumerate_vertices(P)
-    n = P.dim
-    verts = vd.vertices
-    if affine_rank(verts) < n:
-        raise DegeneratePolytopeError("degenerate polytope")
-    inc = [frozenset(s) for s in vd.incidence]
-
-    def subdivide(face: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-        if d == 1:
-            if len(face) != 2:
-                raise PolytopeError("malformed edge during triangulation")
-            return [face]
-        anchor = face[0]  # indices are in vertex lex order already
-        face_set = set(face)
-        simplices: list[tuple[int, ...]] = []
-        seen: set[frozenset[int]] = set()
-        for h in range(P.num_facets):
-            tight = tuple(i for i in face if h in inc[i])
-            if len(tight) == len(face_set) or not tight:
-                continue
-            pts = [verts[i] for i in tight]
-            if affine_rank(pts) != d - 1:
-                continue
-            key = frozenset(tight)
-            if key in seen or anchor in key:
-                continue
-            seen.add(key)
-            for s in subdivide(tight, d - 1):
-                simplices.append((anchor,) + s)
-        return simplices
-
-    total = Fraction(0)
-    for s in subdivide(tuple(range(len(verts))), n):
-        rows = [vec_sub(verts[i], verts[s[0]]) for i in s[1:]]
-        total += abs(mat_det(rows))
-    return total / math.factorial(n)
 
 
 # ---------------------------------------------------------------------------

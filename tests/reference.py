@@ -1,5 +1,5 @@
 """Brute-force references for the library's vertex and edge enumeration,
-and for offset perturbation.
+for offset perturbation, and for the volume.
 
 The library enumerates vertices by double description only, and finds
 edges from vertex-facet incidence alone.  This module keeps the exhaustive
@@ -9,11 +9,17 @@ library; both use its exact elimination in ``linalg``, which
 ``test_linalg`` checks against the cofactor and Leibniz formulas.
 
 The library builds an admissible perturbation from the base's vertex
-cones; :func:`reference_perturb` enumerates and validates the shifted
-H-representation instead and compares fans, and is the oracle for it.
+cones, frames included; :func:`reference_perturb` enumerates and validates
+the shifted H-representation instead and compares fans, and is the oracle
+for it.
+
+The library takes a Delzant polytope's volume from its vertex cones by
+Brion's formula; :func:`reference_volume` triangulates any bounded
+polytope by recursive facet subdivision instead, and is the oracle for it.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from toricpack.delzant import (
@@ -22,14 +28,25 @@ from toricpack.delzant import (
     _validate_reduced,
     validate_delzant,
 )
-from toricpack.linalg import SingularMatrixError, as_vec, mat_rank, solve_linear
+from toricpack.linalg import (
+    SingularMatrixError,
+    affine_rank,
+    as_vec,
+    mat_det,
+    mat_rank,
+    solve_linear,
+    vec_sub,
+)
 from toricpack.perturb import PerturbationError
 from toricpack.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
     HalfSpace,
     HPolytope,
+    PolytopeError,
+    VertexData,
     _reduce,
+    enumerate_vertices,
 )
 
 
@@ -134,3 +151,48 @@ def vertex_affinity_holds(base: DelzantPolytope, s1, s2, t) -> bool:
         v == tuple((1 - t) * a + t * b for a, b in zip(m1[key], m2[key]))
         for key, v in mid.items()
     )
+
+
+def reference_volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
+    """Exact Euclidean volume.
+
+    Anchors at the lexicographically smallest vertex, triangulates every
+    facet not containing it recursively, and sums |det| / n! per simplex.
+    """
+    if vd is None:
+        vd = enumerate_vertices(P)
+    n = P.dim
+    verts = vd.vertices
+    if affine_rank(verts) < n:
+        raise DegeneratePolytopeError("degenerate polytope")
+    inc = [frozenset(s) for s in vd.incidence]
+
+    def subdivide(face: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+        if d == 1:
+            if len(face) != 2:
+                raise PolytopeError("malformed edge during triangulation")
+            return [face]
+        anchor = face[0]  # indices are in vertex lex order already
+        face_set = set(face)
+        simplices: list[tuple[int, ...]] = []
+        seen: set[frozenset[int]] = set()
+        for h in range(P.num_facets):
+            tight = tuple(i for i in face if h in inc[i])
+            if len(tight) == len(face_set) or not tight:
+                continue
+            pts = [verts[i] for i in tight]
+            if affine_rank(pts) != d - 1:
+                continue
+            key = frozenset(tight)
+            if key in seen or anchor in key:
+                continue
+            seen.add(key)
+            for s in subdivide(tight, d - 1):
+                simplices.append((anchor,) + s)
+        return simplices
+
+    total = Fraction(0)
+    for s in subdivide(tuple(range(len(verts))), n):
+        rows = [vec_sub(verts[i], verts[s[0]]) for i in s[1:]]
+        total += abs(mat_det(rows))
+    return total / math.factorial(n)

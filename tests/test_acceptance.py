@@ -31,7 +31,7 @@ from toricpack.perturb import (
     safe_radius_estimate,
     scan_segment,
 )
-from toricpack.polytope import contains, volume
+from toricpack.polytope import contains
 
 F = Fraction
 

@@ -71,6 +71,13 @@ class TestFamily:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_chopped_simplex_dimension_named(self, capsys, n):
+        code, out, err = run(capsys, "family", "chopped_simplex", "1/10", "1/10", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: chopped simplex dimension must be >= 2, got {n}\n"
+
     def test_non_integer_n_refused(self, capsys):
         code, out, err = run(capsys, "family", "cube", "2.5")
         assert code == 1

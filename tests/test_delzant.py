@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from reference import same_fan
+from reference import reference_volume, same_fan
 
 from toricpack.delzant import (
     NotDelzantError,
@@ -16,9 +17,12 @@ from toricpack.delzant import (
 )
 from toricpack.jsonio import info_report
 from toricpack.linalg import mat_det, vec_add, vec_scale
+from toricpack.perturb import perturb, safe_radius_estimate
 from toricpack.polytope import hpolytope
 
 F = Fraction
+
+PENTAGON = make_chopped_simplex(F(1, 10), F(1, 10))
 
 
 class TestValidation:
@@ -229,3 +233,37 @@ class TestGenerators:
         c3 = make_cube(3, 2)
         assert c3.corner_radii == (F(2),) * 8
         assert c3.euclidean_volume == 8
+
+
+class TestBrionVolume:
+    """Brion's sum over the vertex cones equals the recursive facet
+    triangulation, on the fixtures and on members of their offset families
+    strictly inside the safe radius."""
+
+    BASES = {
+        "interval": make_cube(1),
+        "square": make_cube(2),
+        "pentagon": PENTAGON,
+        "prism": make_product(make_simplex(1), make_simplex(2)),
+        "cube3": make_cube(3),
+        "cube4": make_cube(4),
+        "chopped3": make_chopped_simplex(F(1, 10), F(1, 5), 3),
+        "chopped4": make_chopped_simplex(F(1, 10), F(1, 5), 4),
+        "chopped5": make_chopped_simplex(F(1, 10), F(1, 5), 5),
+        "pentagon x interval": make_product(PENTAGON, make_simplex(1)),
+        "pentagon x pentagon": make_product(PENTAGON, PENTAGON),
+        "simplex2 x simplex2": make_product(make_simplex(2), make_simplex(2)),
+        "square x simplex2": make_product(make_cube(2), make_simplex(2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_triangulation(self, name):
+        base = self.BASES[name]
+        rho = safe_radius_estimate(base)
+        rng = random.Random(name)
+        members = [base] + [
+            perturb(base, [rho * F(rng.randint(-9, 9), 10) for _ in base.hrep.halfspaces])
+            for _ in range(4)
+        ]
+        for D in members:
+            assert D.euclidean_volume == reference_volume(D.hrep, D.vdata)

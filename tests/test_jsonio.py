@@ -14,7 +14,6 @@ from toricpack.jsonio import (
     pack_report,
     scan_csv,
     spec_file_document,
-    vdata_to_json,
 )
 from toricpack.packing import maximize
 from toricpack.perturb import scan_segment
@@ -44,14 +43,14 @@ class TestHRepSchema:
 
 class TestVRepSchema:
     def test_square(self, square):
-        doc = vdata_to_json(square)
+        doc = info_report(square)
         assert doc["vertices"] == [
             ["0", "0"],
             ["0", "1"],
             ["1", "0"],
             ["1", "1"],
         ]
-        assert sorted(doc["edges"]) == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert sorted(e["vertices"] for e in doc["edges"]) == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
 class TestSpecDocuments:

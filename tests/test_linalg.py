@@ -13,7 +13,6 @@ from toricpack.linalg import (
     floor_nthroot,
     format_rat,
     gcd_primitive,
-    is_unimodular,
     mat_det,
     mat_rank,
     nthroot_bounds,
@@ -139,10 +138,10 @@ class TestDet:
 
 class TestUnimodular:
     def test_examples(self):
-        assert is_unimodular([[1, 0], [0, 1]])
+        assert abs(mat_det([[1, 0], [0, 1]])) == 1
         # Columns (0,-1), (2,-1) as a matrix: det 2.
-        assert not is_unimodular([[0, 2], [-1, -1]])
-        assert is_unimodular([[1, 0], [1, 1]])
+        assert abs(mat_det([[0, 2], [-1, -1]])) != 1
+        assert abs(mat_det([[1, 0], [1, 1]])) == 1
 
 
 class TestSolve:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_volume
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.packing import (
@@ -208,7 +209,7 @@ class TestRealize:
         simplices = realize(square, (F(1, 2),) * 4)
         assert len(simplices) == 4
         for s in simplices:
-            assert s.hull_volume() == F(1, 8)
+            assert reference_volume(s.hull) == F(1, 8)
 
     def test_infeasible(self, square):
         with pytest.raises(ValueError, match="not a packing"):
@@ -217,7 +218,7 @@ class TestRealize:
     def test_volume_law(self, pentagon):
         for i, r in enumerate(pentagon.corner_radii):
             s = admissible_simplex(pentagon, i, r)
-            assert s.hull_volume() == r**2 / 2
+            assert reference_volume(s.hull) == r**2 / 2
 
     def test_affine_map_hits_edges(self, square, pentagon, prism):
         # The frame maps the model corner onto the hull: its corners are the
@@ -280,7 +281,7 @@ class TestSkewFrames:
         # its radius-1 admissible simplex is conv{(1,2), (0,2), (2,1)}.
         idx = D.vertices.index((F(1), F(2)))
         s = admissible_simplex(D, idx, 1)
-        assert s.hull_volume() == F(1, 2)
+        assert reference_volume(s.hull) == F(1, 2)
         hull = set(vertex_set(s.hull))
         assert (F(1), F(2)) in hull and len(hull) == 3
         best, packs = maximize(D)

@@ -1,9 +1,10 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from reference import reference_perturb, same_fan, vertex_affinity_holds
+from reference import reference_perturb, reference_volume, same_fan, vertex_affinity_holds
 
 from toricpack.delzant import (
     make_chopped_simplex,
@@ -175,12 +176,45 @@ class TestMatchesReference:
                     for _ in range(base.hrep.num_facets)
                 )
                 got = outcome(perturb, base, s)
-                assert got == outcome(reference_perturb, base, s), s
+                want = outcome(reference_perturb, base, s)
+                assert got == want, s
                 if isinstance(got, str):
                     rejected += 1
                 else:
+                    # Not a dataclass field, so == above does not compare it.
+                    assert got.euclidean_volume == reference_volume(want.hrep, want.vdata), s
                     accepted += 1
         assert accepted and rejected
+
+
+class TestFramesReused:
+    """An admissible member takes its frames from the base; only a rejected
+    offset is validated, to name the failure."""
+
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        # toricpack.perturb is the function; the module has to be imported.
+        module = importlib.import_module("toricpack.perturb")
+        seen = []
+        original = module._validate_reduced
+
+        def counted(reduced, vd):
+            seen.append(reduced)
+            return original(reduced, vd)
+
+        monkeypatch.setattr(module, "_validate_reduced", counted)
+        return seen
+
+    def test_admissible_is_not_validated(self, validated):
+        base = make_cube(4)
+        rho = safe_radius_estimate(base)
+        rng = random.Random(4)
+        for _ in range(10):
+            perturb(base, [rho * F(rng.randint(-9, 9), 10) for _ in range(8)])
+        assert len(validated) == 0
+        with pytest.raises(PerturbationError, match="fan changed"):
+            perturb(CHOPPED_CUBE, chop_shift(F(1, 8)))
+        assert len(validated) == 1
 
 
 class TestAdmissibility:
