@@ -123,6 +123,8 @@ def cmd_scan(args) -> int:
     _, D = load_spec_file(args.base)
     with open(args.dir, "r", encoding="utf-8") as fh:
         s1, s2 = direction_from_json(json.load(fh))
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     res = scan_segment(D, s1, s2, args.samples)
     _emit(scan_csv(res), args.csv)
     summary = dumps(scan_summary(res))

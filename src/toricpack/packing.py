@@ -1,11 +1,18 @@
 """Packings of a Delzant polytope by admissible corner simplices.
 
 A packing assigns a radius x_i >= 0 to every vertex of the polytope; the
-feasible radii vectors form a convex polytope in R^V cut out by
+feasible radii vectors form a convex polytope P in R^V cut out by
 nonnegativity and the pairwise bounds x_i + x_j <= pair_bounds[i][j].  The
 packed fraction of the volume is sum(x_i^n) / (n! vol), a strictly convex
 function for n >= 2, so its maximum over the feasible set is attained at
-vertices and the maximizers are finitely many.  A geometric disjointness
+vertices and the maximizers are finitely many.
+
+The maximizers are found without enumerating P.  The density grows in every
+radius, so each maximizer is blocked: no radius can grow alone.  The
+blocked vertices of P are the vertices of its down-closure
+P - R^V_+ = {x_i <= r_i, x_i + x_j <= l_ij on the edges of D}, an
+unbounded polyhedron with far fewer vertices (42 against 743 for the
+4-cube), and double description enumerates that.  A geometric disjointness
 oracle based on exact pairwise intersection is provided as an independent
 cross-check of the constraint description.
 """
@@ -22,7 +29,7 @@ from .linalg import IntVec, Vec, as_vec
 from .polytope import (
     HalfSpace,
     HPolytope,
-    _polytope_rays,
+    _homogenized_rays,
     contains,
     intersect,
     vertex_set,
@@ -70,10 +77,15 @@ class AdmissibleSimplex:
     outer_facet_index: int
 
 
-def _packing_rows(D: DelzantPolytope, pairs) -> HPolytope:
-    """x >= 0, plus x_i + x_j <= pair_bounds[i][j] for each (i, j) in pairs."""
+def _packing_rows(D: DelzantPolytope, pairs, down_closed: bool = False) -> HPolytope:
+    """x >= 0, or x <= corner_radii when ``down_closed``, plus
+    x_i + x_j <= pair_bounds[i][j] for each (i, j) in pairs."""
     V = D.num_vertices
-    rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
+    if down_closed:
+        r = D.corner_radii
+        rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -r[i]) for i in range(V)]
+    else:
+        rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
     for i, j in pairs:
         normal = tuple(-int(k == i) - int(k == j) for k in range(V))
         rows.append(HalfSpace(normal, -D.pair_bounds[i][j]))
@@ -85,6 +97,12 @@ def build_packing_polytope(D: DelzantPolytope) -> PackingPolytope:
     return PackingPolytope(D, _packing_rows(D, itertools.combinations(range(D.num_vertices), 2)))
 
 
+def _binding_edges(D: DelzantPolytope) -> list[tuple[int, int]]:
+    """The edges (i, j) of D with l_ij < r_i + r_j, in lexicographic order."""
+    r, bound = D.corner_radii, D.pair_bounds
+    return [(i, j) for i, j in D.vdata.edges if bound[i][j] < r[i] + r[j]]
+
+
 def _edge_system(D: DelzantPolytope) -> HPolytope:
     """The packing polytope from the edge graph of D: x >= 0, plus
     x_i + x_j <= l_ij on each edge (i, j) with l_ij < r_i + r_j.
@@ -94,8 +112,17 @@ def _edge_system(D: DelzantPolytope) -> HPolytope:
     x_i <= r_i, so x_i + x_j <= r_i + r_j holds for every pair.  The set is
     the same, and the edges come in lexicographic pair order.
     """
-    r, bound = D.corner_radii, D.pair_bounds
-    return _packing_rows(D, [(i, j) for i, j in D.vdata.edges if bound[i][j] < r[i] + r[j]])
+    return _packing_rows(D, _binding_edges(D))
+
+
+def _maximal_rays(D: DelzantPolytope) -> list[IntVec]:
+    """Integer rays (x0; y), x0 > 0, of the homogenized down-closure
+    {x_i <= r_i, x_i + x_j <= l_ij on the edges of the edge system}: one per
+    vertex y / x0 of the packing polytope at which no radius can grow alone.
+    The rays with x0 = 0 are the recession directions -e_i and are left out.
+    """
+    down = _packing_rows(D, _binding_edges(D), down_closed=True)
+    return [ray for ray in _homogenized_rays(down) if ray[0]]
 
 
 def density(D: DelzantPolytope, x) -> Fraction:
@@ -117,15 +144,33 @@ def packing_polytope_vertices(D: DelzantPolytope) -> tuple[Vec, ...]:
 def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """Exact maximum density and all maximal packings.
 
-    Ranks the integer rays (x0; y) of the packing polytope's homogenized
-    cone by sum(y_i^n) / x0^n, the packed volume at the vertex y / x0 up to
-    the factor n! vol, and builds vertices only for the exact ties, in
+    Ranks the integer rays (x0; y) of :func:`_maximal_rays` by
+    sum(y_i^n) / x0^n, the packed volume at the vertex y / x0 up to the
+    factor n! vol, and builds vertices only for the exact ties, in
     lexicographic radii order.
+
+    These are the vertices of the down-closure P - R^V_+ of the packing
+    polytope P, and the value, the ties and their order are those of the
+    maximum over every vertex of P:
+
+    - The density grows strictly in each radius, so a maximizing vertex v
+      is blocked: each x_i meets some x_i + x_j <= l_ij with equality.
+    - So the sum of the tight edge normals e_i + e_j at v is a strictly
+      positive vector in v's normal cone.  A nearby interior point c of
+      that cone is still positive and makes v the unique maximizer of
+      c . x over P, hence over P - R^V_+, where c . (x - u) < c . x for
+      u >= 0 nonzero.  So v is a vertex of P - R^V_+.
+    - Conversely, a vertex of P - R^V_+ has no negative coordinate (it
+      could move along that axis both ways), so it lies in P, and a point
+      of P that is a vertex of the larger set is a vertex of P.
+    - The rows of :func:`_maximal_rays` cut out exactly P - R^V_+: a point
+      y of them is below max(y, 0), which lies in P because r_j <= l_ij
+      for every edge at j, and every point below P meets the rows.
     """
     n = D.dim
     best: Fraction | None = None
     argmax: list[IntVec] = []
-    for ray in _polytope_rays(_edge_system(D)):
+    for ray in _maximal_rays(D):
         key = Fraction(sum(c**n for c in ray[1:]), ray[0] ** n)
         if best is None or key > best:
             best = key

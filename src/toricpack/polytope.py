@@ -269,6 +269,14 @@ def _insertion_order(rows: list[IntVec]) -> list[IntVec]:
     return [r for _, r in indexed]
 
 
+def _homogenized_rays(P: HPolytope) -> list[IntVec]:
+    """Extreme rays (x0; y) of the homogenized cone of a polyhedron P, whose
+    rows must have rank P.dim + 1: the rays with x0 > 0 are the vertices
+    y / x0 of P, those with x0 = 0 its extreme recession directions.
+    Raises _LowRankCone otherwise."""
+    return _dd_rays(_insertion_order(_homogenized_rows(P)), P.dim + 1)
+
+
 def _polytope_rays(P: HPolytope) -> list[IntVec]:
     """Extreme rays (x0; y) of the homogenized cone of a bounded, nonempty
     polytope, each with x0 > 0: the vertices of P are y / x0, one per ray.
@@ -276,11 +284,10 @@ def _polytope_rays(P: HPolytope) -> list[IntVec]:
     Raises on empty or unbounded input.  Handles low-rank systems by passing
     to the quotient modulo the lineality space.
     """
-    rows = _insertion_order(_homogenized_rows(P))
-    d = P.dim + 1
     try:
-        rays = _dd_rays(rows, d)
+        rays = _homogenized_rays(P)
     except _LowRankCone:
+        rows = _insertion_order(_homogenized_rows(P))
         # Quotient by the lineality space: parametrize x = B^T y with B a
         # row-space basis; the x0 coordinate descends to the quotient.
         basis_rows = [rows[i] for i in _greedy_row_basis(rows)]

@@ -362,6 +362,16 @@ class TestScan:
         assert code == 2
         assert "t = 1/2" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_named(self, square_spec, direction, capsys, samples):
+        code, out, err = run(
+            capsys, "scan", "--base", str(square_spec), "--dir", str(direction),
+            "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+
     def test_missing_s2(self, square_spec, tmp_path, capsys):
         d = tmp_path / "empty.json"
         d.write_text("{}")

@@ -23,6 +23,7 @@ SPECS = {
     "cube4": ("cube", "4"),
     "simplex2xsquare": ("product", "simplex:2:1", "cube:2"),
     "chopped4": ("chopped_simplex", "1/10", "1/5", "4"),
+    "chopped5": ("chopped_simplex", "1/10", "1/5", "5"),
 }
 
 COMMANDS = {
@@ -50,10 +51,14 @@ GOLDEN = {
     ("square", "scan"): "4ed3f4df49884b9defca372775793e9feebd881ddeadc08218bcdae6393bf581",
     ("chopped3", "scan"): "4cb82d1840679ab55fc75429f484b47232f7f4dcd7909ed6f3f2de0b6704176d",
     ("pentagon", "render"): "8fc1b6d71dfbeb4f4462e2f53f733f30fdf87ad0cbdb36f7bd5529bfb3d5ed58",
-    # The heavy double-description cases: 743, 1816 and 1400 packing vertices.
+    # Packing polytopes of 743, 1816 and 1400 vertices, of which maximize
+    # enumerates the 42, 31 and 115 blocked ones.
     ("cube4", "pack"): "f8dd95ffd087149118653cc2905421fe2cd55be80650e4937fd15d2e0495d3b3",
     ("simplex2xsquare", "pack"): "968585253a054f980a47698bf6222d812b7082091a22aa0cdda0a0b117402f57",
     ("chopped4", "pack"): "df4346754580f41389549ba0236b8a4410daea3cc8f73f0b26cb14b1ea944cae",
+    # 80 maximizers; this digest was computed by ranking every vertex of
+    # the packing polytope, not only the blocked ones.
+    ("chopped5", "pack"): "68cc7c71cc1cb9dd9a755b942a882ade801470928561cc0594c846df5f278107",
 }
 
 # The segment of the chopped 3-simplex that the benchmark's ``family``

@@ -8,6 +8,7 @@ from reference import reference_volume
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.packing import (
+    _maximal_rays,
     admissible_simplex,
     build_packing_polytope,
     density,
@@ -46,12 +47,40 @@ def admissible_offsets(draw):
     return name, tuple(rho * c / 4 for c in steps)
 
 
+def vertex_argmax(D, verts):
+    """Maximum density over the sorted vertices ``verts`` and the vertices
+    that attain it, in their order."""
+    best = max(density(D, v) for v in verts)
+    return best, [v for v in verts if density(D, v) == best]
+
+
 def full_system_argmax(D):
     """Maximum density and its maximizers over every vertex of the unpruned
     packing system, in lexicographic order."""
-    verts = vertex_set(build_packing_polytope(D).hrep)
-    best = max(density(D, v) for v in verts)
-    return best, [v for v in verts if density(D, v) == best]
+    return vertex_argmax(D, vertex_set(build_packing_polytope(D).hrep))
+
+
+def blocked_vertices(D):
+    """The vertices of the packing polytope at which no radius can grow
+    alone: every x_i equals the least l_ij - x_j over the edges (i, j)."""
+    around = {i: [] for i in range(D.num_vertices)}
+    for i, j in D.vdata.edges:
+        around[i].append(j)
+        around[j].append(i)
+    return [
+        v for v in packing_polytope_vertices(D)
+        if all(c == min(D.pair_bounds[i][j] - v[j] for j in around[i]) for i, c in enumerate(v))
+    ]
+
+
+def down_closure_vertices(D):
+    """The vertices y / x0 of the rays that maximize ranks, sorted; every
+    ray must be finite."""
+    rays = _maximal_rays(D)
+    assert all(ray[0] > 0 for ray in rays)
+    verts = sorted(tuple(F(c, ray[0]) for c in ray[1:]) for ray in rays)
+    assert len(set(verts)) == len(verts)
+    return verts
 
 
 class TestBuild:
@@ -188,6 +217,68 @@ class TestMaximizeMatchesFullSystem:
         assert best == expect_best
         assert [p.radii for p in packs] == expect_radii
         assert all(p.density == best for p in packs)
+
+
+class TestDownClosure:
+    """maximize enumerates the down-closure {x_i <= r_i, x_i + x_j <= l_ij}:
+    its vertices are exactly the blocked vertices of the packing polytope."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_fixtures(self, name):
+        D = BASES[name]
+        assert down_closure_vertices(D) == blocked_vertices(D)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_offsets())
+    def test_offsets(self, case):
+        name, offsets = case
+        D = perturb(BASES[name], offsets)
+        assert down_closure_vertices(D) == blocked_vertices(D)
+
+    def test_cube4_count(self):
+        # 42 of the 743 vertices of cube 4's packing polytope are blocked.
+        D = make_cube(4)
+        verts = down_closure_vertices(D)
+        assert len(verts) == 42
+        assert verts == blocked_vertices(D)
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            make_cube(4),
+            make_product(make_simplex(2), make_cube(2)),
+            make_chopped_simplex(F(1, 10), F(1, 5), 4),
+            make_product(make_simplex(3), make_simplex(1)),
+            make_product(make_simplex(2), make_simplex(2)),
+            make_product(make_chopped_simplex(F(1, 10), F(1, 10)), make_simplex(1)),
+        ],
+        ids=["cube4", "simplex2xsquare", "chopped4", "simplex3xsimplex1", "simplex2xsimplex2",
+             "pentagonxsimplex1"],
+    )
+    def test_argmax_over_all_vertices(self, D):
+        best, packs = maximize(D)
+        expect_best, expect_radii = vertex_argmax(D, packing_polytope_vertices(D))
+        assert best == expect_best
+        assert [p.radii for p in packs] == expect_radii
+
+
+class TestWalls:
+    """Instances whose full packing polytope double description did not
+    finish (cube 5) or took seconds (the chopped 5-simplex)."""
+
+    def test_cube5_checkerboard(self):
+        D = make_cube(5)
+        best, packs = maximize(D)
+        assert best == F(2, 15)
+        expect = sorted(
+            tuple(F(int(sum(v) % 2 == parity)) for v in D.vertices) for parity in (0, 1)
+        )
+        assert [p.radii for p in packs] == expect
+
+    def test_chopped5(self):
+        best, packs = maximize(make_chopped_simplex(F(1, 10), F(1, 5), 5))
+        assert best == F(32897, 99967)
+        assert len(packs) == 80
 
 
 class TestRealize:
