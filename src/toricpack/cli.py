@@ -196,10 +196,18 @@ def build_parser() -> _Parser:
     return p
 
 
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Built on the first call and kept for the process; not at import, so
+    # that importing the package without running a command does not pay
+    # for it.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (UsageError, SpecFileError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,6 +17,7 @@ from functools import cached_property
 from .linalg import (
     IntVec,
     Vec,
+    bareiss,
     dot,
     mat_det,
     primitive_direction,
@@ -128,9 +129,31 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
 
 def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
     """:func:`validate_delzant` on a minimal H-representation whose vertex
-    data, edges included, is already known."""
+    data, edges included, is already known.
+
+    The frame at a simple vertex comes from its cone, not from its edges.
+    Let N_I hold the active normals in facet order; n normals active at a
+    vertex are independent.  One fraction-free elimination of [N_I | 1]
+    gives det N_I and N_I^-1, and column k of N_I^-1 is the edge that
+    leaves facet I[k]: it is tight on the other active facets and has
+    slack 1 on I[k].  With primitive normals the vertex is Delzant exactly
+    when det N_I = +-1.  Let U hold the primitive
+    edge directions u_k as columns; then N_I U = diag(c) with positive
+    integers c.  If det U = +-1, N_I = diag(c) U^-1 has integral rows
+    divisible by the c_k, so primitivity forces c = 1 and det N_I = +-1.
+    Conversely an integral N_I^-1 = U diag(c)^-1 has integral columns
+    u_k / c_k, so c = 1 again and U = N_I^-1.  The neighbour j across the
+    edge along d_k lies on the other active facets, so v_j - v_i = t d_k,
+    and the edge length t is the slack of facet I[k] at v_j; it is read
+    off one nonzero coordinate of d_k.  Only a failing vertex computes the
+    determinant of its primitive edge directions, which its error message
+    reports.
+    """
     n = reduced.dim
-    nverts = len(vd.vertices)
+    halfspaces = reduced.halfspaces
+    verts = vd.vertices
+    nverts = len(verts)
+    unit = [[int(r == c) for c in range(n)] for r in range(n)]
 
     neighbors: dict[int, list[int]] = {i: [] for i in range(nverts)}
     for i, j in vd.edges:
@@ -152,19 +175,21 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
             if f in by_omitted:
                 raise NotDelzantError(f"not simple at vertex {i}")
             by_omitted[f] = j
-        order = [by_omitted[f] for f in sorted(by_omitted)]
-        dirs: list[IntVec] = []
-        lens: list[Fraction] = []
-        for j in order:
-            u, t = primitive_direction(vec_sub(vd.vertices[j], vd.vertices[i]))
-            dirs.append(u)
-            lens.append(t)
-        det = mat_det(dirs)
-        if det != 1 and det != -1:
+        order = [by_omitted[f] for f in active]
+        rows, _, det = bareiss(
+            [list(halfspaces[f].normal) + e for f, e in zip(active, unit)]
+        )
+        if det not in (1, -1):
+            dirs = [primitive_direction(vec_sub(verts[j], verts[i]))[0] for j in order]
             raise NotDelzantError(
-                f"not unimodular at vertex {i} (det = {det})"
+                f"not unimodular at vertex {i} (det = {mat_det(dirs)})"
             )
-        frames.append(VertexFrame(i, tuple(dirs), tuple(lens), tuple(order)))
+        dirs = tuple(tuple(det * row[n + k] for row in rows) for k in range(n))
+        lens = []
+        for d, j in zip(dirs, order):
+            c = next(c for c, x in enumerate(d) if x)
+            lens.append((verts[j][c] - verts[i][c]) / d[c])
+        frames.append(VertexFrame(i, dirs, tuple(lens), tuple(order)))
     return _from_frames(reduced, vd, tuple(frames))
 
 

@@ -165,10 +165,13 @@ def generator_polytope(name: str, args: list) -> DelzantPolytope:
 
 
 def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope]:
-    """Parse a polytope spec document into a validated Delzant polytope."""
+    """Parse a polytope spec document into a validated Delzant polytope and
+    its name; a ``name`` entry, when present, must be a string."""
     if not isinstance(doc, dict):
         raise SpecFileError("spec document must be a JSON object")
     name = doc.get("name")
+    if "name" in doc and not isinstance(name, str):
+        raise SpecFileError(f"name must be a string, got {name!r}")
     has_h = "halfspaces" in doc
     has_g = "generator" in doc
     if has_h and has_g:

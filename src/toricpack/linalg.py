@@ -17,10 +17,6 @@ IntVec = tuple[int, ...]
 Vec = tuple[Fraction, ...]
 
 
-class SingularMatrixError(ValueError):
-    pass
-
-
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions, and "p/q" strings to an exact rational."""
     if isinstance(value, Fraction):
@@ -134,18 +130,6 @@ def mat_det(rows: Sequence[Sequence]) -> Fraction:
     a, scale = _integer_rows(rows)
     _, pivots, d = bareiss(a)
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
-    """Exact unique solution of A x = b; raises on singular systems."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("solve_linear requires a square system")
-    a, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    reduced, pivots, d = bareiss(a)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("degenerate system")
-    return tuple(Fraction(r[n], d) for r in reduced)
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:

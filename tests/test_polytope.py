@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricpack.polytope
-from reference import brute_force_edges, brute_force_vertex_set, reference_volume
+from reference import (
+    brute_force_edges,
+    brute_force_vertex_set,
+    reference_incidence,
+    reference_remove_redundant,
+    reference_volume,
+)
 from toricpack.delzant import (
     make_chopped_simplex,
     make_cube,
@@ -26,6 +32,7 @@ from toricpack.polytope import (
     UnboundedPolytopeError,
     _homogenized_rows,
     _polytope_rays,
+    _reduce,
     contains,
     enumerate_vertices,
     hpolytope,
@@ -180,6 +187,84 @@ class TestEnumerate:
             assert mat_rank(active) == P.dim - 1
 
 
+def square_pyramid():
+    """Apex (0, 0, 0) on four facets over the square [0, 1]^2 at height 1."""
+    return hpolytope(
+        3,
+        [
+            ((1, 0, 0), 0),
+            ((0, 1, 0), 0),
+            ((-1, 0, 1), 0),
+            ((0, -1, 1), 0),
+            ((0, 0, -1), -1),
+        ],
+    )
+
+
+def square_with_extra_rows():
+    """The unit square with a duplicate row, a rescaled duplicate, a row
+    touching it at one corner and a row touching it nowhere."""
+    return hpolytope(
+        2,
+        [
+            ((0, 1), 0),
+            ((1, 0), 0),
+            ((1, 1), 0),  # weakly redundant: tight at (0, 0) only
+            ((-1, 0), -1),
+            ((2, 0), 0),  # the row x >= 0 again
+            ((0, -1), -1),
+            ((-1, -1), -3),  # tight nowhere
+            ((0, 1), 0),
+        ],
+    )
+
+
+class TestTightSets:
+    """Incidence is double description's tight sets, and reduction keeps
+    the rows with maximal tight sets; both agree with evaluating every
+    halfspace at every vertex and with the affine-rank facet test."""
+
+    @given(bounded_polytopes())
+    @example(square_with_extra_rows())
+    @example(cross_polytope(3))
+    @example(square_pyramid())
+    @example(hpolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), 0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_evaluation(self, P):
+        try:
+            vd = enumerate_vertices(P)
+        except EmptyPolytopeError:
+            with pytest.raises(EmptyPolytopeError):
+                reference_remove_redundant(P)
+            return
+        assert vd.incidence == reference_incidence(P, vd.vertices)
+        try:
+            expected = reference_remove_redundant(P)
+        except DegeneratePolytopeError:
+            with pytest.raises(DegeneratePolytopeError):
+                remove_redundant(P)
+            return
+        reduced, rvd = _reduce(P)
+        assert reduced == expected
+        assert rvd.vertices == vd.vertices
+        assert rvd.incidence == reference_incidence(reduced, rvd.vertices)
+        assert rvd.edges == brute_force_edges(reduced, rvd.vertices, rvd.incidence)
+
+    def test_first_duplicate_kept(self):
+        P = square_with_extra_rows()
+        reduced = remove_redundant(P)
+        assert reduced.halfspaces == tuple(P.halfspaces[i] for i in (0, 1, 3, 5))
+
+    def test_non_simple_incidence(self):
+        # The apex of the pyramid lies on four facets, every vertex of the
+        # octahedron on four; no row is redundant.
+        for P in (square_pyramid(), cross_polytope(3)):
+            reduced, vd = _reduce(P)
+            assert reduced == P
+            assert max(len(inc) for inc in vd.incidence) == 4
+            assert vd.incidence == reference_incidence(P, vd.vertices)
+
+
 class TestEnumerationOracle:
     @given(bounded_polytopes())
     @settings(max_examples=30, deadline=None)
@@ -209,17 +294,20 @@ class TestEnumerationOracle:
 
 
 def checked_rays(P):
-    """_polytope_rays(P) after checking double description's invariants:
-    no ray twice, and every ray an extreme ray of the homogenized cone,
-    inside it with tight rows of rank dim - 1."""
-    rays = _polytope_rays(P)
-    assert len(set(rays)) == len(rays)
+    """The rays of _polytope_rays(P) after checking double description's
+    invariants: no ray twice, every ray an extreme ray of the homogenized
+    cone, inside it with tight rows of rank dim - 1, and every mask exactly
+    the positions, in insertion order, of the rows the ray lies on."""
+    rays, masks, order = _polytope_rays(P)
+    assert len(set(rays)) == len(rays) == len(masks)
     rows = _homogenized_rows(P)
-    for ray in rays:
+    rows = [rows[i] for i in order]
+    for ray, mask in zip(rays, masks):
         assert ray[0] > 0
         dots = [sum(a * b for a, b in zip(row, ray)) for row in rows]
         assert all(d >= 0 for d in dots)
         assert mat_rank([row for row, d in zip(rows, dots) if d == 0]) == P.dim
+        assert mask == sum(1 << k for k, d in enumerate(dots) if d == 0)
     return rays
 
 
@@ -417,18 +505,19 @@ class TestIntersect:
 
 class TestOneEnumeration:
     """Reduction hands its vertex set on, so each polytope is enumerated at
-    most once."""
+    most once.  Every enumeration of a polytope, with or without its tight
+    sets, runs double description through ``_polytope_rays``."""
 
     @pytest.fixture()
     def enumerated(self, monkeypatch):
         seen = []
-        original = toricpack.polytope.vertex_set
+        original = toricpack.polytope._polytope_rays
 
         def counted(P):
             seen.append(P)
             return original(P)
 
-        monkeypatch.setattr(toricpack.polytope, "vertex_set", counted)
+        monkeypatch.setattr(toricpack.polytope, "_polytope_rays", counted)
         return seen
 
     def test_validate_delzant(self, pentagon, enumerated):
