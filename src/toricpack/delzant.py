@@ -40,13 +40,13 @@ class NotDelzantError(PolytopeError):
 @dataclass(frozen=True)
 class VertexFrame:
     """Edge data at one vertex: primitive directions u^j, rational lengths
-    t^j, and the neighbor vertex reached along each edge.
+    t^j, and the neighbor vertex reached along each edge.  A frame's vertex
+    is its position in :attr:`DelzantPolytope.frames`.
 
     Edges are ordered by the facet of the vertex they leave (the unique
     active facet not containing the edge), so frames are reproducible.
     """
 
-    vertex_index: int
     directions: tuple[IntVec, ...]
     lengths: tuple[Fraction, ...]
     neighbor_indices: tuple[int, ...]
@@ -54,19 +54,14 @@ class VertexFrame:
 
 @dataclass(frozen=True)
 class DelzantPolytope:
-    """A validated Delzant polytope with cached combinatorial data.
-
-    ``corner_radii[i]`` is the largest admissible radius at vertex i (the
-    minimum rational edge length there).  ``pair_bounds[i][j]`` is the edge
-    length for adjacent vertex pairs and the radius sum otherwise; it is the
-    right-hand side of the pairwise packing constraints.
+    """A validated Delzant polytope: its minimal H-representation, its
+    vertex data and its vertex frames.  Everything else is derived from
+    these on first use and cached.
     """
 
     hrep: HPolytope
     vdata: VertexData
     frames: tuple[VertexFrame, ...]
-    corner_radii: tuple[Fraction, ...]
-    pair_bounds: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -79,6 +74,27 @@ class DelzantPolytope:
     @property
     def num_vertices(self) -> int:
         return len(self.vdata.vertices)
+
+    @cached_property
+    def corner_radii(self) -> tuple[Fraction, ...]:
+        """The largest admissible radius at each vertex: the least edge
+        length there."""
+        return tuple(min(f.lengths) for f in self.frames)
+
+    @cached_property
+    def pair_bounds(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The right-hand sides of the pairwise packing constraints:
+        ``pair_bounds[i][j]`` is the edge length for adjacent vertices, the
+        radius sum otherwise, and 0 on the diagonal."""
+        radii = self.corner_radii
+        bounds: list[tuple[Fraction, ...]] = []
+        for i, f in enumerate(self.frames):
+            row = [radii[i] + r for r in radii]
+            row[i] = Fraction(0)
+            for t, j in zip(f.lengths, f.neighbor_indices):
+                row[j] = t
+            bounds.append(tuple(row))
+        return tuple(bounds)
 
     @cached_property
     def euclidean_volume(self) -> Fraction:
@@ -143,9 +159,9 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
     divisible by the c_k, so primitivity forces c = 1 and det N_I = +-1.
     Conversely an integral N_I^-1 = U diag(c)^-1 has integral columns
     u_k / c_k, so c = 1 again and U = N_I^-1.  The neighbour j across the
-    edge along d_k lies on the other active facets, so v_j - v_i = t d_k,
-    and the edge length t is the slack of facet I[k] at v_j; it is read
-    off one nonzero coordinate of d_k.  Only a failing vertex computes the
+    edge along d_k lies on the other active facets, so v_j - v_i = t d_k
+    for the edge length t, which :func:`_edge_lengths` reads off one
+    nonzero coordinate of d_k.  Only a failing vertex computes the
     determinant of its primitive edge directions, which its error message
     reports.
     """
@@ -185,29 +201,19 @@ def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
                 f"not unimodular at vertex {i} (det = {mat_det(dirs)})"
             )
         dirs = tuple(tuple(det * row[n + k] for row in rows) for k in range(n))
-        lens = []
-        for d, j in zip(dirs, order):
-            c = next(c for c, x in enumerate(d) if x)
-            lens.append((verts[j][c] - verts[i][c]) / d[c])
-        frames.append(VertexFrame(i, dirs, tuple(lens), tuple(order)))
-    return _from_frames(reduced, vd, tuple(frames))
+        frames.append(VertexFrame(dirs, _edge_lengths(verts, i, dirs, order), tuple(order)))
+    return DelzantPolytope(reduced, vd, tuple(frames))
 
 
-def _from_frames(
-    reduced: HPolytope, vd: VertexData, frames: tuple[VertexFrame, ...]
-) -> DelzantPolytope:
-    """The Delzant polytope with these vertex frames: its corner radii are
-    the least edge lengths, and its pair bounds follow from the radii and
-    the edges."""
-    radii = [min(f.lengths) for f in frames]
-    bounds: list[tuple[Fraction, ...]] = []
-    for f in frames:
-        row = [radii[f.vertex_index] + r for r in radii]
-        row[f.vertex_index] = Fraction(0)
-        for t, j in zip(f.lengths, f.neighbor_indices):
-            row[j] = t
-        bounds.append(tuple(row))
-    return DelzantPolytope(reduced, vd, frames, tuple(radii), tuple(bounds))
+def _edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:
+    """The lattice length t of each edge at vertex i, where the edge along
+    primitive d reaches vertex j: v_j - v_i = t d, read off one nonzero
+    coordinate of d."""
+    lengths = []
+    for d, j in zip(dirs, neighbors):
+        c = next(c for c, x in enumerate(d) if x)
+        lengths.append((verts[j][c] - verts[i][c]) / d[c])
+    return tuple(lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
     """Parse {"dim": n, "halfspaces": [{"normal": [...], "offset": ...}]}.
 
     ``dim`` and the normal entries must be JSON integers (booleans are
-    refused); offsets are read by :func:`_rational`.
+    refused), and each normal must be nonzero with ``dim`` entries; offsets
+    are read by :func:`_rational`.
     """
     try:
         dim = doc["dim"]
@@ -72,6 +73,12 @@ def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
             if not all(_is_int(c) for c in normal):
                 raise SpecFileError(
                     f"halfspace {k}: normal entries must be integers, got {h['normal']!r}"
+                )
+            if not any(normal):
+                raise SpecFileError(f"halfspace {k}: normal must be nonzero, got {h['normal']!r}")
+            if len(normal) != dim:
+                raise SpecFileError(
+                    f"halfspace {k}: normal must have {dim} entries, got {h['normal']!r}"
                 )
             rows.append(HalfSpace(normal, _rational(h["offset"], f"halfspace {k}: offset")))
     except (KeyError, TypeError) as exc:
@@ -110,7 +117,8 @@ def generator_polytope(name: str, args: list) -> DelzantPolytope:
     """Instantiate one of the named example generators.
 
     Each argument is a JSON integer or a string, parsed by its role: an
-    integer for a dimension n, a rational for a scale or an offset (read
+    integer for a dimension n (as a string, an optional minus sign and
+    ASCII digits only), a rational for a scale or an offset (read
     like a spec offset, by :func:`_rational`), and a colon-joined
     sub-generator spec such as "simplex:2:1" for the operands of product
     and scale.  Anything else raises SpecFileError naming ``args[k]``; an
@@ -120,10 +128,9 @@ def generator_polytope(name: str, args: list) -> DelzantPolytope:
     def n(k: int) -> int:
         value = args[k]
         if isinstance(value, str):
-            try:
+            digits = value[1:] if value.startswith("-") else value
+            if digits.isascii() and digits.isdigit():
                 return int(value)
-            except ValueError:
-                pass
         elif _is_int(value):
             return value
         raise SpecFileError(f"args[{k}] must be an integer, got {value!r}")
@@ -226,12 +233,12 @@ def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
             "edges": edges,
             "frames": [
                 {
-                    "vertex": f.vertex_index,
+                    "vertex": i,
                     "directions": [list(u) for u in f.directions],
                     "lengths": [format_rat(t) for t in f.lengths],
                     "neighbors": list(f.neighbor_indices),
                 }
-                for f in D.frames
+                for i, f in enumerate(D.frames)
             ],
             "corner_radii": [format_rat(r) for r in D.corner_radii],
             "pair_bounds": [
@@ -262,7 +269,7 @@ def pack_report(
             "maximal_packings": [
                 [format_rat(c) for c in p.radii] for p in listed
             ],
-            "packing_polytope": hrep_to_json(build_packing_polytope(D).hrep),
+            "packing_polytope": hrep_to_json(build_packing_polytope(D)),
         }
     )
     return doc

@@ -37,20 +37,6 @@ from .polytope import (
 
 
 @dataclass(frozen=True)
-class PackingPolytope:
-    """Feasible radii vectors of a Delzant polytope, in H-representation.
-
-    Constraints come in the fixed order: x_i >= 0 for each vertex, then
-    x_i + x_j <= bound for every unordered pair (i, j) in lexicographic
-    order.  Nonadjacent pairs are bounded by the radius sum, adjacent pairs
-    by the shared edge length.
-    """
-
-    source: DelzantPolytope
-    hrep: HPolytope
-
-
-@dataclass(frozen=True)
 class Packing:
     """A feasible radii vector together with its exact density."""
 
@@ -63,44 +49,56 @@ class AdmissibleSimplex:
     """The unique admissible simplex of a given radius at a vertex.
 
     ``hull`` is the closed convex hull; the packing convention excludes the
-    facet opposite the center, ``hull.halfspaces[outer_facet_index]``.  The
-    simplex is the image of the model corner {x >= 0, sum x <= radius}
-    under x -> frame . x + center with the frame columns the primitive edge
+    facet opposite the center, the hull's last row.  The simplex is the
+    image of the model corner {x >= 0, sum x <= radius} under
+    x -> frame . x + center with the frame columns the primitive edge
     directions at the vertex.
     """
 
-    center_index: int
     radius: Fraction
     frame_columns: tuple[IntVec, ...]
     center: Vec
     hull: HPolytope
-    outer_facet_index: int
 
 
-def _packing_rows(D: DelzantPolytope, pairs, down_closed: bool = False) -> HPolytope:
+def _packing_rows(D: DelzantPolytope, bounds, down_closed: bool = False) -> HPolytope:
     """x >= 0, or x <= corner_radii when ``down_closed``, plus
-    x_i + x_j <= pair_bounds[i][j] for each (i, j) in pairs."""
+    x_i + x_j <= b for each (i, j, b) in bounds."""
     V = D.num_vertices
     if down_closed:
         r = D.corner_radii
         rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -r[i]) for i in range(V)]
     else:
         rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
-    for i, j in pairs:
+    for i, j, b in bounds:
         normal = tuple(-int(k == i) - int(k == j) for k in range(V))
-        rows.append(HalfSpace(normal, -D.pair_bounds[i][j]))
+        rows.append(HalfSpace(normal, -b))
     return HPolytope(V, tuple(rows))
 
 
-def build_packing_polytope(D: DelzantPolytope) -> PackingPolytope:
-    """Full constraint system for the feasible radii vectors of D."""
-    return PackingPolytope(D, _packing_rows(D, itertools.combinations(range(D.num_vertices), 2)))
+def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
+    """Full constraint system for the feasible radii vectors of D.
+
+    Constraints come in the fixed order: x_i >= 0 for each vertex, then
+    x_i + x_j <= pair_bounds[i][j] for every unordered pair (i, j) in
+    lexicographic order.  Nonadjacent pairs are bounded by the radius sum,
+    adjacent pairs by the shared edge length.
+    """
+    b = D.pair_bounds
+    pairs = itertools.combinations(range(D.num_vertices), 2)
+    return _packing_rows(D, ((i, j, b[i][j]) for i, j in pairs))
 
 
-def _binding_edges(D: DelzantPolytope) -> list[tuple[int, int]]:
-    """The edges (i, j) of D with l_ij < r_i + r_j, in lexicographic order."""
-    r, bound = D.corner_radii, D.pair_bounds
-    return [(i, j) for i, j in D.vdata.edges if bound[i][j] < r[i] + r[j]]
+def _binding_edges(D: DelzantPolytope) -> list[tuple[int, int, Fraction]]:
+    """The edges (i, j, l_ij), i < j, of D with l_ij < r_i + r_j, read from
+    the frames, in the lexicographic order of ``D.vdata.edges``."""
+    r = D.corner_radii
+    return sorted(
+        (i, j, t)
+        for i, f in enumerate(D.frames)
+        for t, j in zip(f.lengths, f.neighbor_indices)
+        if i < j and t < r[i] + r[j]
+    )
 
 
 def _edge_system(D: DelzantPolytope) -> HPolytope:
@@ -213,12 +211,10 @@ def admissible_simplex(D: DelzantPolytope, i: int, radius) -> AdmissibleSimplex:
     outer = tuple(-sum(h.normal[c] for h in active) for c in range(n))
     rows = active + [HalfSpace(outer, -sum(h.offset for h in active) - r)]
     return AdmissibleSimplex(
-        center_index=i,
         radius=r,
         frame_columns=D.frames[i].directions,
         center=D.vertices[i],
         hull=HPolytope(n, tuple(rows)),
-        outer_facet_index=n,
     )
 
 
@@ -228,11 +224,11 @@ def _half_open_disjoint(si: AdmissibleSimplex, sj: AdmissibleSimplex) -> bool:
     outer facet hyperplane of either simplex (a convex set contained in a
     union of two hyperplanes lies in one of them)."""
     overlap = intersect(si.hull, sj.hull)
-    if overlap.is_empty:
+    if not overlap:
         return True
     for s in (si, sj):
-        h = s.hull.halfspaces[s.outer_facet_index]
-        if all(h.eval_at(v) == 0 for v in overlap.vertices):
+        h = s.hull.halfspaces[-1]
+        if all(h.eval_at(v) == 0 for v in overlap):
             return True
     return False
 

@@ -21,7 +21,7 @@ from .delzant import (
     DelzantPolytope,
     NotDelzantError,
     VertexFrame,
-    _from_frames,
+    _edge_lengths,
     _validate_reduced,
 )
 from .linalg import (
@@ -68,9 +68,10 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     exactly when every facet outside I keeps strictly positive slack at
     every v_I(s), and D(s) is then the moved vertices in lexicographic order
     with the base's incidence, edges and frame directions, renumbered;
-    nothing is enumerated and no frame is recomputed.  The edge at v_I(s)
-    along d_f leaves facet f and N_I d_f = e_f, so its lattice length is the
-    slack of facet f at the moved neighbour it reaches.
+    nothing is enumerated and no frame is recomputed.  The moved neighbour
+    across the edge along d_f lies on the ray from v_I(s) along d_f (see
+    below), so the edge's lattice length is read off the moved vertices by
+    :func:`~toricpack.delzant._edge_lengths`, as in validation.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
     facets I, so it is a simple vertex of D(s).  Its edge along d_f keeps
@@ -87,7 +88,10 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     """
     sv = as_vec(s)
     if len(sv) != base.hrep.num_facets:
-        raise ValueError("offset vector length must match the facet count")
+        raise ValueError(
+            f"offset vector has {len(sv)} entries, the polytope has "
+            f"{base.hrep.num_facets} facets"
+        )
     shifted = HPolytope(
         base.dim,
         tuple(
@@ -118,15 +122,12 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             tuple(edges),
         )
         frames = []
-        for k, i in enumerate(order):
-            frame = base.frames[i]
-            lengths = tuple(
-                shifted.halfspaces[f].eval_at(moved[j])
-                for f, j in zip(incidence[i], frame.neighbor_indices)
-            )
-            neighbors = tuple(rank[j] for j in frame.neighbor_indices)
-            frames.append(VertexFrame(k, frame.directions, lengths, neighbors))
-        return _from_frames(shifted, vd, tuple(frames))
+        for i in order:
+            f = base.frames[i]
+            lengths = _edge_lengths(moved, i, f.directions, f.neighbor_indices)
+            neighbors = tuple(rank[j] for j in f.neighbor_indices)
+            frames.append(VertexFrame(f.directions, lengths, neighbors))
+        return DelzantPolytope(shifted, vd, tuple(frames))
     try:
         reduced, vd = _reduce(shifted)
     except EmptyPolytopeError as exc:

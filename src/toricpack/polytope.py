@@ -264,12 +264,17 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
 
 
 def _homogenized_rows(P: HPolytope) -> list[IntVec]:
-    """Integer rows of the lifted cone {(x0, x) : x0 >= 0, <u,x> >= l*x0}."""
+    """Primitive integer rows of the lifted cone
+    {(x0, x) : x0 >= 0, <u,x> >= l*x0}.
+
+    The row of <u, x> >= p/q, with p/q in lowest terms, is (-p, q u).  It is
+    primitive as built: u is primitive, so the entries of q u have gcd q,
+    and gcd(p, q u_1, ..., q u_n) = gcd(p, q) = 1 (for p = 0, q = 1).
+    """
     rows: list[IntVec] = [(1,) + (0,) * P.dim]
     for h in P.halfspaces:
         q = h.offset.denominator
-        row = (-h.offset.numerator,) + tuple(q * c for c in h.normal)
-        rows.append(_normalize_ray(list(row)))
+        rows.append((-h.offset.numerator,) + tuple(q * c for c in h.normal))
     return rows
 
 
@@ -452,25 +457,12 @@ def contains(P: HPolytope, x) -> bool:
 # Intersection.
 
 
-@dataclass(frozen=True)
-class Intersection:
-    """Vertices of the intersection of two H-polytopes; ``affine_dim`` is
-    -1 when it is empty."""
-
-    vertices: tuple[Vec, ...]
-    affine_dim: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.affine_dim < 0
-
-
-def intersect(P: HPolytope, Q: HPolytope) -> Intersection:
-    """Intersection of two polytopes of the same ambient dimension."""
+def intersect(P: HPolytope, Q: HPolytope) -> tuple[Vec, ...]:
+    """The vertices of the intersection of two polytopes of the same ambient
+    dimension, lexicographically sorted; () when it is empty."""
     if P.dim != Q.dim:
         raise ValueError("ambient dimension mismatch")
     try:
-        verts = vertex_set(HPolytope(P.dim, P.halfspaces + Q.halfspaces))
+        return vertex_set(HPolytope(P.dim, P.halfspaces + Q.halfspaces))
     except EmptyPolytopeError:
-        return Intersection((), -1)
-    return Intersection(verts, affine_rank(verts))
+        return ()

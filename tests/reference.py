@@ -36,7 +36,6 @@ from toricpack.delzant import (
     DelzantPolytope,
     NotDelzantError,
     VertexFrame,
-    _from_frames,
     _validate_reduced,
     validate_delzant,
 )
@@ -299,5 +298,5 @@ def reference_validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPol
             raise NotDelzantError(
                 f"not unimodular at vertex {i} (det = {det})"
             )
-        frames.append(VertexFrame(i, tuple(dirs), tuple(lens), tuple(order)))
-    return _from_frames(reduced, vd, tuple(frames))
+        frames.append(VertexFrame(tuple(dirs), tuple(lens), tuple(order)))
+    return DelzantPolytope(reduced, vd, tuple(frames))

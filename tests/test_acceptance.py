@@ -141,7 +141,7 @@ def test_c05_oracle_equivalence_on_grids():
                 for a, i in enumerate(support)
                 for j in support[a + 1 :]
             )
-            feasible = contains(PP.hrep, pt)
+            feasible = contains(PP, pt)
             assert feasible == oracle, f"{label}: mismatch at {pt}"
             total += 1
     elapsed = time.perf_counter() - t0

@@ -63,6 +63,7 @@ class TestFamily:
             (("simplex", "-1"), "simplex dimension must be >= 1, got -1"),
             (("product", "simplex:0", "cube:1"), "simplex dimension must be >= 1, got 0"),
             (("cube", "0"), "cube dimension must be >= 1, got 0"),
+            (("cube", "-1"), "cube dimension must be >= 1, got -1"),
         ],
     )
     def test_dimension_below_one_named(self, capsys, args, message):
@@ -79,10 +80,12 @@ class TestFamily:
         assert err == f"error: chopped simplex dimension must be >= 2, got {n}\n"
 
     def test_non_integer_n_refused(self, capsys):
-        code, out, err = run(capsys, "family", "cube", "2.5")
-        assert code == 1
-        assert out == ""
-        assert "args[0] must be an integer, got '2.5'" in err
+        # int() would take the underscores and the space.
+        for n in ["2.5", "1_0", "2_0", " 2"]:
+            code, out, err = run(capsys, "family", "cube", n)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: args[0] must be an integer, got {n!r}\n"
 
     def test_prism_counts(self, tmp_path, capsys):
         out = tmp_path / "prism.json"
@@ -151,6 +154,8 @@ class TestValidate:
             ("offset", True, "halfspace 0: offset must be"),
             ("offset", 0.5, "halfspace 0: offset must be"),
             ("offset", "zero", "halfspace 0: offset must be"),
+            ("normal", [0, 0], "halfspace 0: normal must be nonzero, got [0, 0]"),
+            ("normal", [1], "halfspace 0: normal must have 2 entries, got [1]"),
         ],
     )
     def test_malformed_spec_refused(self, tmp_path, capsys, field, value, message):
@@ -211,6 +216,9 @@ class TestValidate:
             ("product", ["cube:2", "simplex"], "args[1] = 'simplex': simplex takes: n [scale]"),
             ("product", ["cube:2", 2], "args[1] must be a generator spec, got 2"),
             ("scale", ["orb:2", "3"], "args[0] must be a generator spec, got 'orb:2'"),
+            ("cube", ["1_0"], "args[0] must be an integer, got '1_0'"),
+            ("cube", ["2_0"], "args[0] must be an integer, got '2_0'"),
+            ("cube", [" 2"], "args[0] must be an integer, got ' 2'"),
         ],
     )
     def test_generator_arg_refused(self, tmp_path, capsys, generator, args, message):
@@ -373,6 +381,16 @@ class TestScan:
         )
         assert code == 2
         assert "t = 1/2" in err
+
+    def test_direction_length_named(self, square_spec, tmp_path, capsys):
+        d = tmp_path / "short.json"
+        d.write_text(json.dumps({"s2": [0, 0, -1]}))
+        code, out, err = run(
+            capsys, "scan", "--base", str(square_spec), "--dir", str(d), "--samples", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: offset vector has 3 entries, the polytope has 4 facets\n"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_named(self, square_spec, direction, capsys, samples):

@@ -64,8 +64,7 @@ class TestValidation:
 
     def test_frames_reach_neighbors(self, square, simplex3, pentagon, prism):
         for D in (square, simplex3, pentagon, prism):
-            for f in D.frames:
-                v = D.vertices[f.vertex_index]
+            for v, f in zip(D.vertices, D.frames):
                 for u, t, j in zip(f.directions, f.lengths, f.neighbor_indices):
                     assert t > 0
                     assert vec_add(v, vec_scale(t, u)) == D.vertices[j]

@@ -67,11 +67,11 @@ def test_dd_matches_brute_force_on_random_polytopes():
 def test_vertex_set_invariant_under_constraint_order(prism):
     rng = random.Random(31337)
     PP = build_packing_polytope(prism)
-    base = set(vertex_set(PP.hrep))
-    rows = list(PP.hrep.halfspaces)
+    base = set(vertex_set(PP))
+    rows = list(PP.halfspaces)
     for _ in range(5):
         rng.shuffle(rows)
-        shuffled = HPolytope(PP.hrep.dim, tuple(rows))
+        shuffled = HPolytope(PP.dim, tuple(rows))
         assert set(vertex_set(shuffled)) == base
 
 
@@ -83,7 +83,7 @@ def test_oracle_equivalence_on_random_rationals(pentagon, prism):
             pt = tuple(
                 F(rng.randint(0, 8), 8) * r for r in D.corner_radii
             )
-            assert contains(PP.hrep, pt) == disjointness_oracle(D, pt)
+            assert contains(PP, pt) == disjointness_oracle(D, pt)
 
 
 def test_scaled_simplex_packings_scale_with_it():

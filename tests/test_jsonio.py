@@ -40,6 +40,26 @@ class TestHRepSchema:
         with pytest.raises(SpecFileError):
             hrep_from_json({"dim": 2})
 
+    @pytest.mark.parametrize(
+        "normal, message",
+        [
+            ([0, 0], "halfspace 1: normal must be nonzero, got [0, 0]"),
+            ([1], "halfspace 1: normal must have 2 entries, got [1]"),
+            ([1, 0, 0], "halfspace 1: normal must have 2 entries, got [1, 0, 0]"),
+        ],
+    )
+    def test_bad_normal_named(self, normal, message):
+        doc = {
+            "dim": 2,
+            "halfspaces": [
+                {"normal": [1, 0], "offset": 0},
+                {"normal": normal, "offset": 0},
+            ],
+        }
+        with pytest.raises(SpecFileError) as info:
+            hrep_from_json(doc)
+        assert str(info.value) == message
+
 
 class TestVRepSchema:
     def test_square(self, square):
@@ -72,6 +92,12 @@ class TestSpecDocuments:
     def test_unknown_generator(self):
         with pytest.raises(SpecFileError, match="unknown generator"):
             generator_polytope("orb", ["1"])
+
+    @pytest.mark.parametrize("arg", ["1_0", "2_0", " 2", "2 ", "+2", "-", "", "\u00b2", "\uff12"])
+    def test_integer_arg_ascii_digits_only(self, arg):
+        with pytest.raises(SpecFileError) as info:
+            generator_polytope("cube", [arg])
+        assert str(info.value) == f"args[0] must be an integer, got {arg!r}"
 
     def test_wrong_arity(self):
         with pytest.raises(SpecFileError):

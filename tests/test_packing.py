@@ -8,6 +8,7 @@ from reference import reference_volume
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.packing import (
+    _binding_edges,
     _maximal_rays,
     admissible_simplex,
     build_packing_polytope,
@@ -57,7 +58,7 @@ def vertex_argmax(D, verts):
 def full_system_argmax(D):
     """Maximum density and its maximizers over every vertex of the unpruned
     packing system, in lexicographic order."""
-    return vertex_argmax(D, vertex_set(build_packing_polytope(D).hrep))
+    return vertex_argmax(D, vertex_set(build_packing_polytope(D)))
 
 
 def blocked_vertices(D):
@@ -86,10 +87,10 @@ def down_closure_vertices(D):
 class TestBuild:
     def test_square_constraints(self, square):
         PP = build_packing_polytope(square)
-        assert PP.hrep.dim == 4
-        assert PP.hrep.num_facets == 4 + 6
+        assert PP.dim == 4
+        assert PP.num_facets == 4 + 6
         bounds = {}
-        for h in PP.hrep.halfspaces[4:]:
+        for h in PP.halfspaces[4:]:
             pair = tuple(i for i, c in enumerate(h.normal) if c == -1)
             bounds[pair] = -h.offset
         # Adjacent pairs bounded by 1, the two diagonals by 2.
@@ -98,15 +99,15 @@ class TestBuild:
 
     def test_simplex_constraints(self, simplex2):
         PP = build_packing_polytope(simplex2)
-        pair_rows = PP.hrep.halfspaces[3:]
+        pair_rows = PP.halfspaces[3:]
         assert len(pair_rows) == 3
         assert all(-h.offset == 1 for h in pair_rows)
 
     def test_interval(self):
         D = make_simplex(1, F(7, 3))
         PP = build_packing_polytope(D)
-        assert PP.hrep.num_facets == 3
-        assert -PP.hrep.halfspaces[2].offset == F(7, 3)
+        assert PP.num_facets == 3
+        assert -PP.halfspaces[2].offset == F(7, 3)
 
 
 class TestDensity:
@@ -169,13 +170,13 @@ class TestMaximize:
             assert len(set(radii)) == len(radii)
             PP = build_packing_polytope(D)
             for p in packs:
-                assert contains(PP.hrep, p.radii)
+                assert contains(PP, p.radii)
                 assert p.density == best
                 assert disjointness_oracle(D, p.radii)
 
     def test_pruned_system_matches_full(self, square, simplex2, rectangle, prism):
         for D in (square, simplex2, rectangle, prism):
-            full = vertex_set(build_packing_polytope(D).hrep)
+            full = vertex_set(build_packing_polytope(D))
             assert packing_polytope_vertices(D) == full
 
     def test_implied_box_on_vertices(self, square, pentagon, prism):
@@ -188,7 +189,7 @@ class TestMaximize:
 
         for D in (square, simplex2, rectangle):
             best, _ = maximize(D)
-            vd = enumerate_vertices(build_packing_polytope(D).hrep)
+            vd = enumerate_vertices(build_packing_polytope(D))
             dens = [density(D, v) for v in vd.vertices]
             for i, j in vd.edges:
                 if dens[i] != dens[j] or (dens[i] == best and dens[j] == best):
@@ -217,6 +218,30 @@ class TestMaximizeMatchesFullSystem:
         assert best == expect_best
         assert [p.radii for p in packs] == expect_radii
         assert all(p.density == best for p in packs)
+
+
+def binding_edges_from_pair_bounds(D):
+    """The edges (i, j, l_ij) with l_ij < r_i + r_j, filtered from the
+    edge list through the full pair-bound matrix."""
+    r, b = D.corner_radii, D.pair_bounds
+    return [(i, j, b[i][j]) for i, j in D.vdata.edges if b[i][j] < r[i] + r[j]]
+
+
+class TestBindingEdges:
+    """The binding edges read from the frames equal the filter over the
+    edge list and the pair bounds, in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_fixtures(self, name):
+        D = BASES[name]
+        assert _binding_edges(D) == binding_edges_from_pair_bounds(D)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_offsets())
+    def test_offsets(self, case):
+        name, offsets = case
+        D = perturb(BASES[name], offsets)
+        assert _binding_edges(D) == binding_edges_from_pair_bounds(D)
 
 
 class TestDownClosure:
@@ -289,7 +314,7 @@ class TestRealize:
         assert s.center == (F(0), F(0))
         hull_verts = set(vertex_set(s.hull))
         assert hull_verts == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1))}
-        outer = s.hull.halfspaces[s.outer_facet_index]
+        outer = s.hull.halfspaces[-1]
         assert outer.normal == (-1, -1) and outer.offset == -1
 
     def test_simplex_full(self, simplex2):
@@ -346,7 +371,7 @@ class TestDisjointness:
             PP = build_packing_polytope(D)
             steps = [F(0), F(1, 2), F(1)]
             for pt in itertools.product(steps, repeat=D.num_vertices):
-                assert contains(PP.hrep, pt) == disjointness_oracle(D, pt)
+                assert contains(PP, pt) == disjointness_oracle(D, pt)
 
 
 class TestSkewFrames:

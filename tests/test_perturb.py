@@ -15,6 +15,8 @@ from toricpack.delzant import (
     translate,
     validate_delzant,
 )
+from toricpack.jsonio import info_report
+from toricpack.packing import maximize
 from toricpack.perturb import (
     PerturbationError,
     ScanError,
@@ -104,7 +106,9 @@ class TestPerturb:
             assert info.value.code == "lost facet"
 
     def test_dimension_check(self, square):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^offset vector has 2 entries, the polytope has 4 facets$"
+        ):
             perturb(square, (0, 0))
 
 
@@ -181,8 +185,10 @@ class TestMatchesReference:
                 if isinstance(got, str):
                     rejected += 1
                 else:
-                    # Not a dataclass field, so == above does not compare it.
+                    # Not dataclass fields, so == above does not compare them.
                     assert got.euclidean_volume == reference_volume(want.hrep, want.vdata), s
+                    assert got.corner_radii == want.corner_radii, s
+                    assert got.pair_bounds == want.pair_bounds, s
                     accepted += 1
         assert accepted and rejected
 
@@ -215,6 +221,41 @@ class TestFramesReused:
         with pytest.raises(PerturbationError, match="fan changed"):
             perturb(CHOPPED_CUBE, chop_shift(F(1, 8)))
         assert len(validated) == 1
+
+
+class TestPairBoundsOnDemand:
+    """Scans and maximization read the edge lengths from the frames; the
+    V x V pair bounds are built only when asked for, as by the info report."""
+
+    def test_scan_and_maximize_leave_them_unbuilt(self, monkeypatch):
+        module = importlib.import_module("toricpack.perturb")
+        members = []
+        original = module.perturb
+
+        def recorded(base, s):
+            members.append(original(base, s))
+            return members[-1]
+
+        monkeypatch.setattr(module, "perturb", recorded)
+        square = make_cube(2)
+        scan_segment(square, (0,) * 4, RECT_DIR, 4)
+        assert len(members) == 5
+        cube3 = make_cube(3)
+        rho = safe_radius_estimate(cube3)
+        for k in range(3):
+            D = original(cube3, [rho * F(k - j, 8) for j in range(6)])
+            maximize(D)
+            members.append(D)
+        for D in [square, cube3, *members]:
+            assert "pair_bounds" not in D.__dict__
+        rectangle = members[4]
+        assert info_report(rectangle)["pair_bounds"] == [
+            ["0", "1", "2", "2"],
+            ["1", "0", "2", "2"],
+            ["2", "2", "0", "1"],
+            ["2", "2", "1", "0"],
+        ]
+        assert "pair_bounds" in rectangle.__dict__
 
 
 class TestAdmissibility:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from toricpack.delzant import (
     make_simplex,
     validate_delzant,
 )
-from toricpack.linalg import mat_rank, vec_add, vec_scale
+from toricpack.linalg import affine_rank, mat_rank, vec_add, vec_scale
 from toricpack.packing import _edge_system, maximize
 from toricpack.perturb import PerturbationError, perturb
 from toricpack.polytope import (
@@ -311,6 +312,18 @@ def checked_rays(P):
     return rays
 
 
+class TestHomogenizedRows:
+    @given(bounded_polytopes())
+    @example(square_with_extra_rows())
+    @example(hpolytope(2, [((2, 0), F(1, 3)), ((0, 3), F(-5, 6)), ((-1, -1), F(-7, 4))]))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_primitive(self, P):
+        # No gcd pass: (-p, q u) is primitive for p/q in lowest terms and a
+        # primitive normal u.
+        for row in _homogenized_rows(P):
+            assert math.gcd(*row) == 1
+
+
 class TestDoubleDescriptionInvariants:
     @given(bounded_polytopes())
     @example(cross_polytope(3))
@@ -482,21 +495,20 @@ class TestIntersect:
             2, [((1, 0), F(1, 2)), ((0, 1), 0), ((-1, 0), F(-3, 2)), ((0, -1), -1)]
         )
         r = intersect(P, Q)
-        assert not r.is_empty
-        assert r.affine_dim == 2
-        assert len(r.vertices) == 4
+        assert affine_rank(r) == 2
+        assert len(r) == 4
 
     def test_disjoint(self):
         P = unit_square()
         Q = hpolytope(2, [((1, 0), 5), ((0, 1), 0), ((-1, 0), -6), ((0, -1), -1)])
-        assert intersect(P, Q).is_empty
+        assert intersect(P, Q) == ()
 
     def test_shared_facet(self):
         P = unit_square()
         Q = hpolytope(2, [((1, 0), 1), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -1)])
         r = intersect(P, Q)
-        assert r.affine_dim == 1
-        assert set(r.vertices) == {(F(1), F(0)), (F(1), F(1))}
+        assert affine_rank(r) == 1
+        assert r == ((F(1), F(0)), (F(1), F(1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -537,5 +549,5 @@ class TestOneEnumeration:
         Q = hpolytope(
             2, [((1, 0), F(1, 2)), ((0, 1), 0), ((-1, 0), F(-3, 2)), ((0, -1), -1)]
         )
-        assert intersect(unit_square(), Q).affine_dim == 2
+        assert affine_rank(intersect(unit_square(), Q)) == 2
         assert len(enumerated) == 1
