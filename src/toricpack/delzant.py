@@ -99,29 +99,34 @@ class DelzantPolytope:
     @cached_property
     def euclidean_volume(self) -> Fraction:
         """Exact Euclidean volume by Brion's formula over the vertex cones
-        (Brion 1988; Lawrence 1991).
-
-        Each vertex cone is unimodular with edge directions d_f, so for any
-        xi with no <xi, d_f> = 0,
-
-            vol = (1/n!) sum_v <xi, v>^n / prod_f (-<xi, d_f>).
-
-        Take xi = (1, M, ..., M^(n-1)) with M = 1 + the largest |entry| of
-        any frame direction.  For a nonzero integral d whose last nonzero
-        entry is d_k, |d_k M^k| >= M^k, while the lower terms sum to at most
-        (M - 1)(1 + M + ... + M^(k-1)) = M^k - 1 in absolute value; so
-        <xi, d> != 0.
-        """
+        (Brion 1988; Lawrence 1991), with the terms of
+        :func:`_brion_terms`."""
+        xi, denoms = _brion_terms(self.frames)
         n = self.dim
-        m = 1 + max(abs(c) for f in self.frames for d in f.directions for c in d)
-        xi = tuple(m**k for k in range(n))
-        total = Fraction(0)
-        for v, frame in zip(self.vertices, self.frames):
-            denom = 1
-            for d in frame.directions:
-                denom *= -dot(xi, d)
-            total += dot(xi, v) ** n / denom
+        total = sum(dot(xi, v) ** n / d for v, d in zip(self.vertices, denoms))
         return total / math.factorial(n)
+
+
+def _brion_terms(frames) -> tuple[IntVec, list[int]]:
+    """The direction xi of Brion's formula for these vertex cones, and the
+    denominator prod_f (-<xi, d_f>) of each cone.
+
+    Each vertex cone is unimodular with edge directions d_f, so for any xi
+    with no <xi, d_f> = 0,
+
+        vol = (1/n!) sum_v <xi, v>^n / prod_f (-<xi, d_f>).
+
+    Take xi = (1, M, ..., M^(n-1)) with M = 1 + the largest |entry| of any
+    frame direction.  For a nonzero integral d whose last nonzero entry is
+    d_k, |d_k M^k| >= M^k, while the lower terms sum to at most
+    (M - 1)(1 + M + ... + M^(k-1)) = M^k - 1 in absolute value; so
+    <xi, d> != 0.  Only the frame directions enter, so every member of an
+    offset family shares the terms, and only <xi, v> moves.
+    """
+    n = len(frames[0].directions)
+    m = 1 + max(abs(c) for f in frames for d in f.directions for c in d)
+    xi = tuple(m**k for k in range(n))
+    return xi, [math.prod(-dot(xi, d) for d in f.directions) for f in frames]
 
 
 def rational_length(a, b) -> Fraction:

@@ -60,13 +60,15 @@ def hrep_from_json(doc: dict[str, Any]) -> HPolytope:
     """Parse {"dim": n, "halfspaces": [{"normal": [...], "offset": ...}]}.
 
     ``dim`` and the normal entries must be JSON integers (booleans are
-    refused), and each normal must be nonzero with ``dim`` entries; offsets
+    refused), ``dim`` at least 1, and each normal must be nonzero with ``dim`` entries; offsets
     are read by :func:`_rational`.
     """
     try:
         dim = doc["dim"]
         if not _is_int(dim):
             raise SpecFileError(f"dim must be an integer, got {dim!r}")
+        if dim < 1:
+            raise SpecFileError(f"dim must be at least 1, got {dim}")
         rows = []
         for k, h in enumerate(doc["halfspaces"]):
             normal = tuple(h["normal"])

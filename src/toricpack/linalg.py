@@ -58,12 +58,13 @@ def gcd_primitive(v: Sequence[int]) -> tuple[IntVec, int]:
 
     Returns ``(v/g, g)`` with ``g = gcd(|entries|) > 0``; the direction is
     preserved (the sign is never flipped, so inward normals stay inward).
+    A primitive input comes back as the same tuple.
     """
-    if all(x == 0 for x in v):
+    g = math.gcd(*v)
+    if g == 0:
         raise ValueError("zero direction")
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    if g == 1:
+        return tuple(v), 1
     return tuple(x // g for x in v), g
 
 

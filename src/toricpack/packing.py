@@ -61,13 +61,11 @@ class AdmissibleSimplex:
     hull: HPolytope
 
 
-def _packing_rows(D: DelzantPolytope, bounds, down_closed: bool = False) -> HPolytope:
-    """x >= 0, or x <= corner_radii when ``down_closed``, plus
-    x_i + x_j <= b for each (i, j, b) in bounds."""
-    V = D.num_vertices
-    if down_closed:
-        r = D.corner_radii
-        rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -r[i]) for i in range(V)]
+def _packing_rows(V: int, bounds, radii=None) -> HPolytope:
+    """x >= 0 in R^V, or x <= radii when given, plus x_i + x_j <= b for
+    each (i, j, b) in bounds."""
+    if radii is not None:
+        rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -radii[i]) for i in range(V)]
     else:
         rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
     for i, j, b in bounds:
@@ -86,16 +84,16 @@ def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
     """
     b = D.pair_bounds
     pairs = itertools.combinations(range(D.num_vertices), 2)
-    return _packing_rows(D, ((i, j, b[i][j]) for i, j in pairs))
+    return _packing_rows(D.num_vertices, ((i, j, b[i][j]) for i, j in pairs))
 
 
-def _binding_edges(D: DelzantPolytope) -> list[tuple[int, int, Fraction]]:
-    """The edges (i, j, l_ij), i < j, of D with l_ij < r_i + r_j, read from
-    the frames, in the lexicographic order of ``D.vdata.edges``."""
-    r = D.corner_radii
+def _binding_edges(frames, r) -> list[tuple[int, int, Fraction]]:
+    """The edges (i, j, l_ij), i < j, with l_ij < r_i + r_j, read from the
+    vertex frames (their lengths and neighbours) and the corner radii r, in
+    lexicographic order: that of ``D.vdata.edges`` for a polytope D."""
     return sorted(
         (i, j, t)
-        for i, f in enumerate(D.frames)
+        for i, f in enumerate(frames)
         for t, j in zip(f.lengths, f.neighbor_indices)
         if i < j and t < r[i] + r[j]
     )
@@ -110,17 +108,36 @@ def _edge_system(D: DelzantPolytope) -> HPolytope:
     x_i <= r_i, so x_i + x_j <= r_i + r_j holds for every pair.  The set is
     the same, and the edges come in lexicographic pair order.
     """
-    return _packing_rows(D, _binding_edges(D))
+    return _packing_rows(D.num_vertices, _binding_edges(D.frames, D.corner_radii))
 
 
-def _maximal_rays(D: DelzantPolytope) -> list[IntVec]:
+def _maximal_rays(frames) -> list[IntVec]:
     """Integer rays (x0; y), x0 > 0, of the homogenized down-closure
-    {x_i <= r_i, x_i + x_j <= l_ij on the edges of the edge system}: one per
-    vertex y / x0 of the packing polytope at which no radius can grow alone.
-    The rays with x0 = 0 are the recession directions -e_i and are left out.
+    {x_i <= r_i, x_i + x_j <= l_ij on the edges of the edge system} of the
+    polytope with these vertex frames: one per vertex y / x0 of the packing
+    polytope at which no radius can grow alone.  The rays with x0 = 0 are
+    the recession directions -e_i and are left out.
     """
-    down = _packing_rows(D, _binding_edges(D), down_closed=True)
+    r = tuple(min(f.lengths) for f in frames)
+    down = _packing_rows(len(frames), _binding_edges(frames, r), r)
     return [ray for ray in _homogenized_rays(down)[0] if ray[0]]
+
+
+def _ranked(rays, n: int) -> tuple[Fraction, list[IntVec]]:
+    """The largest sum(y_i^n) / x0^n over the rays (x0; y), and the rays
+    that attain it, in their order.  Keys are compared as cross products,
+    the denominators x0^n being positive."""
+    top, bottom = -1, 1
+    argmax: list[IntVec] = []
+    for ray in rays:
+        num, den = sum(c**n for c in ray[1:]), ray[0] ** n
+        if num * bottom > top * den:
+            top, bottom = num, den
+            argmax = [ray]
+        elif num * bottom == top * den:
+            argmax.append(ray)
+    assert argmax
+    return Fraction(top, bottom), argmax
 
 
 def density(D: DelzantPolytope, x) -> Fraction:
@@ -143,7 +160,7 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """Exact maximum density and all maximal packings.
 
     Ranks the integer rays (x0; y) of :func:`_maximal_rays` by
-    sum(y_i^n) / x0^n, the packed volume at the vertex y / x0 up to the
+    sum(y_i^n) / x0^n (:func:`_ranked`), the packed volume at the vertex y / x0 up to the
     factor n! vol, and builds vertices only for the exact ties, in
     lexicographic radii order.
 
@@ -166,16 +183,7 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
       for every edge at j, and every point below P meets the rows.
     """
     n = D.dim
-    best: Fraction | None = None
-    argmax: list[IntVec] = []
-    for ray in _maximal_rays(D):
-        key = Fraction(sum(c**n for c in ray[1:]), ray[0] ** n)
-        if best is None or key > best:
-            best = key
-            argmax = [ray]
-        elif key == best:
-            argmax.append(ray)
-    assert best is not None
+    best, argmax = _ranked(_maximal_rays(D.frames), n)
     value = best / (math.factorial(n) * D.euclidean_volume)
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
     return value, tuple(Packing(v, value) for v in verts)

@@ -14,6 +14,7 @@ concavity/convexity certificates checked here in exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,10 +22,13 @@ from .delzant import (
     DelzantPolytope,
     NotDelzantError,
     VertexFrame,
+    _brion_terms,
     _edge_lengths,
     _validate_reduced,
 )
 from .linalg import (
+    IntVec,
+    Vec,
     as_vec,
     dot,
     nthroot_bounds,
@@ -33,7 +37,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .packing import maximize
+from .packing import _maximal_rays, _ranked
 from .polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -100,13 +104,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         ),
     )
     incidence = base.vdata.incidence
-    moved = [
-        tuple(
-            c + sum(sv[f] * d[k] for f, d in zip(active, frame.directions))
-            for k, c in enumerate(v)
-        )
-        for v, active, frame in zip(base.vertices, incidence, base.frames)
-    ]
+    moved = _moved_vertices(base, sv)
     if all(
         h.eval_at(w) > 0
         for w, active in zip(moved, incidence)
@@ -144,6 +142,18 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     except NotDelzantError as exc:
         raise PerturbationError("not Delzant", str(exc)) from exc
     raise PerturbationError("fan changed")
+
+
+def _moved_vertices(base: DelzantPolytope, sv) -> list[Vec]:
+    """v_I(s) = v_I + sum_{f in I} s^f d_f at each base vertex, in the
+    base's vertex order."""
+    return [
+        tuple(
+            c + sum(sv[f] * d[k] for f, d in zip(active, frame.directions))
+            for k, c in enumerate(v)
+        )
+        for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames)
+    ]
 
 
 def is_admissible(base: DelzantPolytope, s) -> bool:
@@ -265,40 +275,155 @@ def scan_segment(
 ) -> ScanResult:
     """Scan t -> Delta_{(1-t) s1 + t s2} at t = k/samples, k = 0..samples.
 
-    Every sample is validated; an inadmissible one raises ScanError naming
-    its t.  Certificates: midpoint concavity of vol^(1/n) over the whole
-    segment and midpoint convexity of omega^(1/n) for triples within
-    [0, 1/4], all in exact arithmetic.
+    Only the two ends are built by :func:`perturb`; if one is refused, the
+    samples are walked from t = 0 and ScanError names the first
+    inadmissible t.  Every other sample is interpolated from the ends in
+    integer arithmetic, and double description runs once per chamber of
+    the packing down-closure, not once per sample.  Certificates: midpoint
+    concavity of vol^(1/n) over the whole segment and midpoint convexity
+    of omega^(1/n) for triples within [0, 1/4], all in exact arithmetic.
+
+    Why this gives what per-sample validation and :func:`maximize` give:
+
+    - Admissible ends make every sample admissible.  perturb accepts s
+      exactly when every off-vertex slack c + a . s_I - s^j at every moved
+      vertex is positive (see :func:`safe_radius_estimate`).  Each slack is
+      affine in s, hence in t, so positive at t = 0 and t = 1 means positive
+      on [0, 1].  Every member then has the base's vertex cones, its vertex
+      v_I(t) = (1-t) v_I(0) + t v_I(1), and each edge length, read off
+      v_j - v_i = l d, is interpolated likewise; its volume is Brion's sum
+      over those cones (:func:`~toricpack.delzant._brion_terms`) with
+      <xi, v(t)> = (1-t) <xi, v(0)> + t <xi, v(1)>.
+    - The chambers.  In base vertex order the down-closure that
+      :func:`~toricpack.packing._maximal_rays` enumerates is also cut out
+      by the fixed rows x_i <= l_e for each edge e at i and
+      x_i + x_j <= l_ij for each edge (r_i is the least l_e at i, and a
+      pair row with l_ij >= r_i + r_j is implied), and each right-hand side
+      is affine in t.  Each vertex is keyed by its tight set on these rows.
+      Distinct vertices have distinct tight sets: a vertex is the only
+      solution of its tight rows.
+    - Equal families of tight sets at samples t_a < t_b give, at every t
+      in between, exactly the interpolated vertices with the same tight
+      sets.  Let y(t) interpolate the vertices of tight set T at t_a and
+      t_b.  Every slack at y(t) is affine in t: zero at both ends on T,
+      positive at both ends off T.  So y(t) is feasible and tight on
+      exactly T, whose rows have full rank: a vertex.  Its tangent cone
+      {d : A_T d <= 0} depends only on T.  So an edge of P(t) at y(t) leaves
+      along a ray that starts an edge at y(t_a) too, tight on the same rows
+      of T.  That edge is bounded, since the recession cone does not depend
+      on t; it reaches the vertex of some tight set T', and its rows
+      T & T' cut out a line.  At t, the face on T & T' holds the distinct
+      vertices y(t) and y'(t), so it is the edge between them: each edge
+      reaches the same neighbour at both ends and at t.  The interpolated
+      vertices thus form a component of the graph of bounded edges, which
+      is connected for a pointed polyhedron, so they are all the vertices.
+      Where the families differ, double description runs at the middle
+      sample and both halves recurse.
+    - The interpolated vertex of sample k between DD samples a < b, with
+      rays (x0a; ya) and (x0b; yb), is the integer ray
+      (q x0a x0b; (q - p) x0b ya + p x0a yb) with p = k - a, q = b - a.
+      omega and the number of maximizers come from ranking these rays as
+      :func:`maximize` does; both are symmetric in the coordinates, so
+      numbering the vertices in base order rather than in the member's
+      lexicographic order changes neither.
     """
     if samples < 1:
         raise ValueError("need at least one subdivision")
     v1 = as_vec(s1)
     v2 = as_vec(s2)
-    ts: list[Fraction] = []
-    vols: list[Fraction] = []
-    omegas: list[Fraction] = []
-    decs: list[str] = []
-    counts: list[int] = []
-    first: DelzantPolytope | None = None
-    last: DelzantPolytope | None = None
-    n = base.dim
-    for k in range(samples + 1):
+
+    def member(k: int) -> DelzantPolytope:
         t = Fraction(k, samples)
         s = vec_add(vec_scale(1 - t, v1), vec_scale(t, v2))
         try:
-            D = perturb(base, s)
+            return perturb(base, s)
         except PerturbationError as exc:
             raise ScanError(f"inadmissible sample at t = {t}: {exc}") from exc
-        if k == 0:
-            first = D
-        if k == samples:
-            last = D
-        omega, packs = maximize(D)
-        ts.append(t)
-        vols.append(D.euclidean_volume)
-        omegas.append(omega)
-        decs.append(nthroot_decimal(omega, n))
-        counts.append(len(packs))
+
+    first = member(0)
+    try:
+        last = member(samples)
+    except ScanError:
+        for k in range(1, samples):
+            member(k)
+        raise
+
+    n = base.dim
+    N = samples
+    frames = base.frames
+    ends = [_moved_vertices(base, v) for v in (v1, v2)]
+    # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
+    # order, so each edge has two slots.
+    slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
+    lengths = _sampled(*(
+        [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
+        for vs in ends
+    ), N)
+    xi, denoms = _brion_terms(frames)
+    heights = _sampled(*([dot(xi, v) for v in vs] for vs in ends), N)
+    dl = math.lcm(*denoms)
+    weights = [dl // d for d in denoms]
+
+    def volume(k: int) -> Fraction:
+        h, q = heights(k)
+        return Fraction(sum(w * x**n for w, x in zip(weights, h)), dl * math.factorial(n) * q**n)
+
+    found: dict[int, list[IntVec]] = {}
+    keyed: dict[int, dict[int, IntVec]] = {}
+    ranked: dict[int, tuple[Fraction, list[IntVec]]] = {}
+
+    def run_dd(k: int) -> None:
+        num, q = lengths(k)
+        found[k] = _maximal_rays([
+            VertexFrame(f.directions, tuple(Fraction(c, q) for c in num[i * n:(i + 1) * n]), f.neighbor_indices)
+            for i, f in enumerate(frames)
+        ])
+        ranked[k] = _ranked(found[k], n)
+
+    def family(k: int) -> dict[int, IntVec]:
+        """The rays of sample k keyed by their tight sets on the fixed
+        rows: per edge slot (i, j), x_i <= l_ij and x_i + x_j <= l_ij."""
+        if k not in keyed:
+            num, q = lengths(k)
+            keyed[k] = {}
+            for ray in found[k]:
+                y = [c * q for c in ray[1:]]
+                tight = 0
+                for e, (i, j) in enumerate(slots):
+                    c = num[e] * ray[0]
+                    tight |= ((y[i] == c) | (y[i] + y[j] == c) << 1) << 2 * e
+                keyed[k][tight] = ray
+        return keyed[k]
+
+    def fill(a: int, b: int) -> None:
+        if b - a < 2:
+            return
+        if len(found[a]) != len(found[b]) or family(a).keys() != family(b).keys():
+            m = (a + b) // 2
+            run_dd(m)
+            fill(a, m)
+            fill(m, b)
+            return
+        q = b - a
+        pairs = [(ray, keyed[b][tight]) for tight, ray in keyed[a].items()]
+        for p in range(1, q):
+            ranked[a + p] = _ranked(
+                [
+                    (q * x0 * z0,) + tuple((q - p) * z0 * y + p * x0 * z for y, z in zip(ya, zb))
+                    for (x0, *ya), (z0, *zb) in pairs
+                ],
+                n,
+            )
+
+    run_dd(0)
+    run_dd(N)
+    fill(0, N)
+
+    ts = [Fraction(k, N) for k in range(N + 1)]
+    vols = [volume(k) for k in range(N + 1)]
+    omegas = [ranked[k][0] / (math.factorial(n) * vols[k]) for k in range(N + 1)]
+    counts = [len(ranked[k][1]) for k in range(N + 1)]
+    decs = [nthroot_decimal(om, n) for om in omegas]
 
     vol_cmps = [
         compare_root_midpoint(vols[k], vols[k - 1], vols[k + 1], n)
@@ -309,7 +434,6 @@ def scan_segment(
         for k in range(1, samples)
         if Fraction(k + 1, samples) <= Fraction(1, 4)
     ]
-    assert first is not None and last is not None
     return ScanResult(
         samples=samples,
         ts=tuple(ts),
@@ -323,3 +447,13 @@ def scan_segment(
         omega_root_midpoint_convex_near_zero=all(c <= 0 for c in near_zero),
         endpoints_homothetic=is_homothetic(first, last),
     )
+
+
+def _sampled(xs, ys, N: int):
+    """k -> the values (1 - k/N) x + (k/N) y for x, y in zip(xs, ys), as
+    integer numerators over one common denominator, and that denominator."""
+    qx = math.lcm(*(x.denominator for x in xs))
+    qy = math.lcm(*(y.denominator for y in ys))
+    a = [x.numerator * (qx // x.denominator) * qy for x in xs]
+    b = [y.numerator * (qy // y.denominator) * qx for y in ys]
+    return lambda k: ([(N - k) * x + k * y for x, y in zip(a, b)], N * qx * qy)

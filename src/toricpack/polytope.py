@@ -16,8 +16,8 @@ the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
 their transpose holds, per row, the bitmask of the positions tight on it.
 Two positions are adjacent exactly when the AND of the transposed masks of
 their common rows, started from the mask of all live positions, leaves only
-the pair.  Double description rebuilds the transpose at each insertion and
-keeps, per positive ray, the last third ray that proved a pair
+the pair.  Double description keeps the transpose up to date as it inserts
+rows, and keeps, per positive ray, the last third ray that proved a pair
 non-adjacent: one mask test with that witness settles a pair before any AND
 is taken (for the cube-4 packing polytope, 26 k of 64 k candidate pairs).
 """
@@ -72,7 +72,7 @@ class HalfSpace:
             raise ValueError("normal entries must be integers")
         prim, g = gcd_primitive(ints)
         object.__setattr__(self, "normal", prim)
-        object.__setattr__(self, "offset", rat(offset) / g)
+        object.__setattr__(self, "offset", rat(offset) if g == 1 else rat(offset) / g)
 
     def eval_at(self, x) -> Fraction:
         """Slack <normal, x> - offset; nonnegative inside."""
@@ -189,13 +189,17 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     Incremental double description with the combinatorial adjacency test.
     The tight sets are exact: a new ray is a positive combination of two
     rays of nonnegative slack on every row inserted so far, so it lies on
-    exactly their common rows, and on the new row.  At each insertion the
-    tight sets are transposed into one bitmask of rays per row, so that
-    rays p and m are adjacent exactly when the AND of the columns of their
-    common rows is {p, m} (:func:`_third_positions`).  A third ray found on
-    all common rows is kept as p's witness and tried first on p's next
-    pair.  Raises _LowRankCone when rank(rows) < dim (the cone has
-    lineality, hence no extreme rays).
+    exactly their common rows, and on the new row.  Each ray keeps the
+    slot it was made in, and the transpose of the tight sets (one bitmask
+    of slots per row) is kept up to date as rays are made and rows become
+    tight, so that rays p and m are adjacent exactly when the AND of the
+    columns of their common rows, started from the mask of live slots, is
+    {p, m} (:func:`_third_positions`); a dead ray only leaves that mask.
+    A third ray found on all common rows is kept as p's witness and tried
+    first on p's next pair.  The rays come back in insertion order: after
+    each row, the positive, then the zero, then the new rays.  Raises
+    _LowRankCone when rank(rows) < dim (the cone has lineality, hence no
+    extreme rays).
     """
     basis = _greedy_row_basis(rows)
     if len(basis) < dim:
@@ -206,42 +210,43 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     unit = [[int(r == c) for c in range(dim)] for r in range(dim)]
     reduced, _, d = bareiss([list(rows[i]) + e for i, e in zip(basis, unit)])
     sign = 1 if d > 0 else -1
-    rays: list[IntVec] = []
-    masks: list[int] = []
+    rays: list[IntVec] = []  # by slot
+    masks: list[int] = []  # by slot
+    cols = [0] * len(rows)  # by row: the slots tight on it
     for j in range(dim):
         rays.append(_normalize_ray([sign * row[dim + j] for row in reduced]))
         m = 0
         for pos, i in enumerate(basis):
             if pos != j:
                 m |= 1 << i
+                cols[i] |= 1 << j
         masks.append(m)
+    live = list(range(dim))
+    alive = (1 << dim) - 1
 
     need = dim - 2
     basis_set = set(basis)
     for k in (i for i in range(len(rows)) if i not in basis_set):
         nz = [(c, coef) for c, coef in enumerate(rows[k]) if coef]
-        dots = [sum(coef * r[c] for c, coef in nz) for r in rays]
-        pos = [i for i, d in enumerate(dots) if d > 0]
-        zero = [i for i, d in enumerate(dots) if d == 0]
-        neg = [i for i, d in enumerate(dots) if d < 0]
+        dots = [sum(coef * rays[s][c] for c, coef in nz) for s in live]
+        pos = [(s, d) for s, d in zip(live, dots) if d > 0]
+        zero = [s for s, d in zip(live, dots) if d == 0]
+        neg = [(s, d) for s, d in zip(live, dots) if d < 0]
         bit_k = 1 << k
+        for s in zero:
+            masks[s] |= bit_k
+            cols[k] |= 1 << s
         if not neg:
-            for i in zero:
-                masks[i] |= bit_k
             continue
         if not pos and not zero:
             return [], []
 
-        cols = _tight_columns(masks)
-        alive = (1 << len(rays)) - 1
-        new_rays: list[IntVec] = []
-        new_masks: list[int] = []
-        for p in pos:
+        made = len(rays)
+        for p, dp in pos:
             mp = masks[p]
-            dp = dots[p]
             rp = rays[p]
             witness = -1
-            for m in neg:
+            for m, dm in neg:
                 common = mp & masks[m]
                 if common.bit_count() < need:
                     continue
@@ -252,15 +257,21 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
                 if others:
                     witness = (others & -others).bit_length() - 1
                     continue
-                dm = dots[m]
                 rm = rays[m]
-                new_rays.append(
-                    _normalize_ray([dp * rm[c] - dm * rp[c] for c in range(dim)])
-                )
-                new_masks.append(common | bit_k)
-        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
-        masks = [masks[i] for i in pos] + [masks[i] | bit_k for i in zero] + new_masks
-    return rays, masks
+                rays.append(_normalize_ray([dp * rm[c] - dm * rp[c] for c in range(dim)]))
+                masks.append(common | bit_k)
+        for s in range(made, len(rays)):
+            bit = 1 << s
+            mask = masks[s]
+            while mask:
+                low = mask & -mask
+                cols[low.bit_length() - 1] |= bit
+                mask ^= low
+            alive |= bit
+        for m, _ in neg:
+            alive ^= 1 << m
+        live = [p for p, _ in pos] + zero + list(range(made, len(rays)))
+    return [rays[s] for s in live], [masks[s] for s in live]
 
 
 def _homogenized_rows(P: HPolytope) -> list[IntVec]:

@@ -26,6 +26,11 @@ keeps the rows whose tight vertices have affine rank dim - 1, and
 :func:`reference_validate_reduced` builds every frame from primitive
 vertex differences and their determinant.  :func:`solve_linear` serves the
 active-set search.
+
+The library scans an offset segment from its two ends, interpolating the
+samples between them and running double description once per chamber;
+:func:`reference_scan_segment` builds and maximizes every sample, and is
+the oracle for it.
 """
 
 import itertools
@@ -47,10 +52,21 @@ from toricpack.linalg import (
     bareiss,
     mat_det,
     mat_rank,
+    nthroot_decimal,
     primitive_direction,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
-from toricpack.perturb import PerturbationError
+from toricpack.packing import maximize
+from toricpack.perturb import (
+    PerturbationError,
+    ScanError,
+    ScanResult,
+    compare_root_midpoint,
+    is_homothetic,
+    perturb,
+)
 from toricpack.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -300,3 +316,69 @@ def reference_validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPol
             )
         frames.append(VertexFrame(tuple(dirs), tuple(lens), tuple(order)))
     return DelzantPolytope(reduced, vd, tuple(frames))
+
+
+def reference_scan_segment(
+    base: DelzantPolytope, s1, s2, samples: int
+) -> ScanResult:
+    """Scan t -> Delta_{(1-t) s1 + t s2} at t = k/samples, k = 0..samples,
+    one :func:`perturb` and one :func:`maximize` per sample.
+
+    Every sample is validated; an inadmissible one raises ScanError naming
+    its t.  Certificates: midpoint concavity of vol^(1/n) over the whole
+    segment and midpoint convexity of omega^(1/n) for triples within
+    [0, 1/4], all in exact arithmetic.
+    """
+    if samples < 1:
+        raise ValueError("need at least one subdivision")
+    v1 = as_vec(s1)
+    v2 = as_vec(s2)
+    ts: list[Fraction] = []
+    vols: list[Fraction] = []
+    omegas: list[Fraction] = []
+    decs: list[str] = []
+    counts: list[int] = []
+    first: DelzantPolytope | None = None
+    last: DelzantPolytope | None = None
+    n = base.dim
+    for k in range(samples + 1):
+        t = Fraction(k, samples)
+        s = vec_add(vec_scale(1 - t, v1), vec_scale(t, v2))
+        try:
+            D = perturb(base, s)
+        except PerturbationError as exc:
+            raise ScanError(f"inadmissible sample at t = {t}: {exc}") from exc
+        if k == 0:
+            first = D
+        if k == samples:
+            last = D
+        omega, packs = maximize(D)
+        ts.append(t)
+        vols.append(D.euclidean_volume)
+        omegas.append(omega)
+        decs.append(nthroot_decimal(omega, n))
+        counts.append(len(packs))
+
+    vol_cmps = [
+        compare_root_midpoint(vols[k], vols[k - 1], vols[k + 1], n)
+        for k in range(1, samples)
+    ]
+    near_zero = [
+        compare_root_midpoint(omegas[k], omegas[k - 1], omegas[k + 1], n)
+        for k in range(1, samples)
+        if Fraction(k + 1, samples) <= Fraction(1, 4)
+    ]
+    assert first is not None and last is not None
+    return ScanResult(
+        samples=samples,
+        ts=tuple(ts),
+        volumes=tuple(vols),
+        omegas=tuple(omegas),
+        omega_root_decimals=tuple(decs),
+        maximizer_counts=tuple(counts),
+        vol_root_midpoint_concave=all(c >= 0 for c in vol_cmps),
+        vol_root_strictly_concave_somewhere=any(c > 0 for c in vol_cmps),
+        vol_root_all_midpoints_equal=all(c == 0 for c in vol_cmps),
+        omega_root_midpoint_convex_near_zero=all(c <= 0 for c in near_zero),
+        endpoints_homothetic=is_homothetic(first, last),
+    )

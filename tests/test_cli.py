@@ -156,6 +156,8 @@ class TestValidate:
             ("offset", "zero", "halfspace 0: offset must be"),
             ("normal", [0, 0], "halfspace 0: normal must be nonzero, got [0, 0]"),
             ("normal", [1], "halfspace 0: normal must have 2 entries, got [1]"),
+            ("dim", 0, "error: dim must be at least 1, got 0"),
+            ("dim", -1, "error: dim must be at least 1, got -1"),
         ],
     )
     def test_malformed_spec_refused(self, tmp_path, capsys, field, value, message):

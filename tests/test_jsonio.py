@@ -61,6 +61,16 @@ class TestHRepSchema:
         assert str(info.value) == message
 
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("halfspaces", [[], [{"normal": [1], "offset": 0}]])
+    def test_dim_below_one_named(self, dim, halfspaces):
+        # Refused before any halfspace is read, so a normal with one entry
+        # does not hide the bad dim.
+        with pytest.raises(SpecFileError) as info:
+            hrep_from_json({"dim": dim, "halfspaces": halfspaces})
+        assert str(info.value) == f"dim must be at least 1, got {dim}"
+
+
 class TestVRepSchema:
     def test_square(self, square):
         doc = info_report(square)

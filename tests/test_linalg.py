@@ -76,6 +76,23 @@ class TestGcdPrimitive:
         with pytest.raises(ValueError, match="zero direction"):
             gcd_primitive((0, 0, 0))
 
+    @pytest.mark.parametrize("v", [(0,), (0, 0), [0, 0, 0, 0]])
+    def test_all_zero_vectors(self, v):
+        with pytest.raises(ValueError, match="zero direction"):
+            gcd_primitive(v)
+
+    def test_primitive_input_returned(self):
+        v = (3, -5, 7)
+        prim, g = gcd_primitive(v)
+        assert (prim, g) == (v, 1)
+        assert prim is v
+        assert gcd_primitive([2, 3]) == ((2, 3), 1)
+
+    def test_negative_entries(self):
+        assert gcd_primitive((-6, 4)) == ((-3, 2), 2)
+        assert gcd_primitive((0, -9)) == ((0, -1), 9)
+        assert gcd_primitive((-1, 0)) == ((-1, 0), 1)
+
     @given(
         st.lists(st.integers(-50, 50), min_size=1, max_size=5),
         st.integers(1, 9),

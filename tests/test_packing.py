@@ -77,7 +77,7 @@ def blocked_vertices(D):
 def down_closure_vertices(D):
     """The vertices y / x0 of the rays that maximize ranks, sorted; every
     ray must be finite."""
-    rays = _maximal_rays(D)
+    rays = _maximal_rays(D.frames)
     assert all(ray[0] > 0 for ray in rays)
     verts = sorted(tuple(F(c, ray[0]) for c in ray[1:]) for ray in rays)
     assert len(set(verts)) == len(verts)
@@ -234,14 +234,14 @@ class TestBindingEdges:
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_fixtures(self, name):
         D = BASES[name]
-        assert _binding_edges(D) == binding_edges_from_pair_bounds(D)
+        assert _binding_edges(D.frames, D.corner_radii) == binding_edges_from_pair_bounds(D)
 
     @settings(max_examples=25, deadline=None)
     @given(admissible_offsets())
     def test_offsets(self, case):
         name, offsets = case
         D = perturb(BASES[name], offsets)
-        assert _binding_edges(D) == binding_edges_from_pair_bounds(D)
+        assert _binding_edges(D.frames, D.corner_radii) == binding_edges_from_pair_bounds(D)
 
 
 class TestDownClosure:

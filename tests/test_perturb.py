@@ -4,7 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import reference_perturb, reference_volume, same_fan, vertex_affinity_holds
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import (
+    reference_perturb,
+    reference_scan_segment,
+    reference_volume,
+    same_fan,
+    vertex_affinity_holds,
+)
+from test_packing import BASES as SCAN_BASES
 
 from toricpack.delzant import (
     make_chopped_simplex,
@@ -239,7 +248,8 @@ class TestPairBoundsOnDemand:
         monkeypatch.setattr(module, "perturb", recorded)
         square = make_cube(2)
         scan_segment(square, (0,) * 4, RECT_DIR, 4)
-        assert len(members) == 5
+        # Only the ends are built; the other samples are interpolated.
+        assert len(members) == 2
         cube3 = make_cube(3)
         rho = safe_radius_estimate(cube3)
         for k in range(3):
@@ -248,7 +258,7 @@ class TestPairBoundsOnDemand:
             members.append(D)
         for D in [square, cube3, *members]:
             assert "pair_bounds" not in D.__dict__
-        rectangle = members[4]
+        rectangle = members[1]
         assert info_report(rectangle)["pair_bounds"] == [
             ["0", "1", "2", "2"],
             ["1", "0", "2", "2"],
@@ -406,6 +416,28 @@ class TestScan:
         with pytest.raises(ScanError, match=r"t = 1/2"):
             scan_segment(square, (0,) * 4, (2, 0, 0, 0), 4)
 
+    def test_start_refused(self, square):
+        s1 = (2, 0, 0, 0)
+        with pytest.raises(ScanError) as info:
+            scan_segment(square, s1, (0,) * 4, 4)
+        assert str(info.value).startswith("inadmissible sample at t = 0: ")
+        assert str(info.value) == scan_outcome(reference_scan_segment, square, s1, (0,) * 4, 4)
+
+    @pytest.mark.parametrize(
+        "s2, samples, t",
+        [
+            # Only the end is refused: x >= t meets x <= 1 at t = 1.
+            ((1, 0, 0, 0), 4, "1"),
+            # The end and the samples from t = 3/7 on: x >= 7t/3 meets x <= 1.
+            ((F(7, 3), 0, 0, 0), 7, "3/7"),
+        ],
+    )
+    def test_end_refused_names_first_t(self, square, s2, samples, t):
+        with pytest.raises(ScanError) as info:
+            scan_segment(square, (0,) * 4, s2, samples)
+        assert str(info.value).startswith(f"inadmissible sample at t = {t}: ")
+        assert str(info.value) == scan_outcome(reference_scan_segment, square, (0,) * 4, s2, samples)
+
     def test_gap_refinement_halves(self, square):
         coarse = scan_segment(square, (0,) * 4, RECT_DIR, 8)
         fine = scan_segment(square, (0,) * 4, RECT_DIR, 32)
@@ -431,6 +463,124 @@ class TestScan:
         assert all(0 < om < 1 for om in res.omegas)
         assert res.volumes[0] == F(49, 100)
         assert all(a > b for a, b in zip(res.volumes, res.volumes[1:]))
+
+
+def scan_outcome(fn, base, s1, s2, samples):
+    """The scan result, or the message of the ScanError raised."""
+    try:
+        return fn(base, s1, s2, samples)
+    except ScanError as exc:
+        return str(exc)
+
+
+@st.composite
+def segments(draw):
+    """A base, two offset vectors of up to 3/2 of its safe radius (so some
+    samples leave the admissible region), equal one time in five, and a
+    sample count from 1 to 10."""
+    name = draw(st.sampled_from(sorted(SCAN_BASES)))
+    base = SCAN_BASES[name]
+    rho = safe_radius_estimate(base)
+    k = base.hrep.num_facets
+
+    def offsets():
+        steps = draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+        return tuple(rho * c / 4 for c in steps)
+
+    s1 = offsets()
+    s2 = s1 if draw(st.integers(0, 4)) == 0 else offsets()
+    return name, s1, s2, draw(st.integers(1, 10))
+
+
+class TestScanMatchesReference:
+    """The scan from its two ends and one double description per chamber
+    gives what building and maximizing every sample gives: every ScanResult
+    field, or the same ScanError message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(segments())
+    @example(("square", (0,) * 4, RECT_DIR, 16))
+    @example(("square", (0,) * 4, (4, 0, 0, 0), 8))
+    @example(("cube3", (F(1, 8),) + (0,) * 5, (F(1, 8),) + (0,) * 5, 3))
+    # Two samples with as many vertices, whose tight sets agree on the rows
+    # x_i <= l_ij and differ on the pair rows x_i + x_j <= l_ij.
+    @example(
+        (
+            "prism",
+            (F(1, 6), F(5, 48), 0, F(-1, 6), F(-1, 6)),
+            (F(-1, 12), F(7, 48), F(-1, 12), F(1, 16), F(-1, 8)),
+            10,
+        )
+    )
+    def test_random_segments(self, segment):
+        name, s1, s2, samples = segment
+        base = SCAN_BASES[name]
+        want = scan_outcome(reference_scan_segment, base, s1, s2, samples)
+        assert scan_outcome(scan_segment, base, s1, s2, samples) == want
+
+    def test_seeded_admissible_segments(self):
+        rng = random.Random(1313)
+        for name in sorted(SCAN_BASES):
+            base = SCAN_BASES[name]
+            rho = safe_radius_estimate(base) / 2
+            k = base.hrep.num_facets
+            for _ in range(2):
+                s1, s2 = (tuple(rho * F(rng.randint(-8, 8), 8) for _ in range(k)) for _ in "ab")
+                samples = rng.randint(1, 10)
+                want = reference_scan_segment(base, s1, s2, samples)
+                assert scan_segment(base, s1, s2, samples) == want, (name, s1, s2)
+
+
+class TestScanWork:
+    """A scan builds its two ends only and runs double description once per
+    chamber of the packing down-closure."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        perturb_module = importlib.import_module("toricpack.perturb")
+        packing_module = importlib.import_module("toricpack.packing")
+        seen = {"perturb": 0, "dd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                seen[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(perturb_module, "perturb", counted("perturb", perturb_module.perturb))
+        monkeypatch.setattr(
+            packing_module, "_homogenized_rays", counted("dd", packing_module._homogenized_rays)
+        )
+        return seen
+
+    @pytest.mark.parametrize(
+        "name, s2, samples, dds",
+        [
+            # The square's rectangle family: chambers {0}, 1-15 and {16}.
+            ("square", RECT_DIR, 16, 9),
+            # The pentagon's homothety to 3/2 of its size: one chamber.
+            ("pentagon", (0, 0, F(-1, 2), F(-9, 20), F(-9, 20)), 8, 2),
+            ("chopped3", (F(1, 50), F(-1, 50), F(1, 100), 0, F(-1, 60), F(1, 70)), 8, 5),
+        ],
+    )
+    def test_dd_per_chamber(self, counts, name, s2, samples, dds):
+        base = SCAN_BASES[name]
+        scan_segment(base, (0,) * len(s2), s2, samples)
+        assert counts == {"perturb": 2, "dd": dds}
+        assert dds < samples + 1
+
+    def test_homothety_offsets(self):
+        pentagon = SCAN_BASES["pentagon"]
+        s2 = [h.offset / 2 for h in pentagon.hrep.halfspaces]
+        assert s2 == [0, 0, F(-1, 2), F(-9, 20), F(-9, 20)]
+        assert is_homothetic(pentagon, perturb(pentagon, s2))
+
+    def test_refused_end_walks_from_zero(self, counts, square):
+        # x >= 4t meets x <= 1 at t = 1/4, the third sample.
+        with pytest.raises(ScanError, match=r"^inadmissible sample at t = 1/4: "):
+            scan_segment(square, (0,) * 4, (4, 0, 0, 0), 8)
+        assert counts["perturb"] == 2 + 2 and counts["dd"] == 0
 
 
 class TestVertexAffinity:
