@@ -26,10 +26,10 @@ from .linalg import (
 )
 from .polytope import (
     HPolytope,
-    HalfSpace,
     PolytopeError,
     VertexData,
     _reduce,
+    hpolytope,
 )
 
 
@@ -234,7 +234,7 @@ def make_simplex(n: int, scale=1) -> DelzantPolytope:
         raise ValueError("scale must be positive")
     rows = [(tuple(int(i == j) for j in range(n)), Fraction(0)) for i in range(n)]
     rows.append(((-1,) * n, -s))
-    return validate_delzant(HPolytope(n, [HalfSpace(u, o) for u, o in rows]))
+    return validate_delzant(hpolytope(n, rows))
 
 
 def make_cube(n: int, scale=1) -> DelzantPolytope:
@@ -251,7 +251,7 @@ def make_cube(n: int, scale=1) -> DelzantPolytope:
     for i in range(n):
         e = tuple(-int(i == j) for j in range(n))
         rows.append((e, -s))
-    return validate_delzant(HPolytope(n, [HalfSpace(u, o) for u, o in rows]))
+    return validate_delzant(hpolytope(n, rows))
 
 
 def make_product(D1: DelzantPolytope, D2: DelzantPolytope) -> DelzantPolytope:
@@ -262,7 +262,7 @@ def make_product(D1: DelzantPolytope, D2: DelzantPolytope) -> DelzantPolytope:
         rows.append((h.normal + (0,) * n2, h.offset))
     for h in D2.hrep.halfspaces:
         rows.append(((0,) * n1 + h.normal, h.offset))
-    return validate_delzant(HPolytope(n1 + n2, [HalfSpace(u, o) for u, o in rows]))
+    return validate_delzant(hpolytope(n1 + n2, rows))
 
 
 def make_chopped_simplex(eps1, eps2, n: int = 2) -> DelzantPolytope:
@@ -288,7 +288,7 @@ def make_chopped_simplex(eps1, eps2, n: int = 2) -> DelzantPolytope:
     rows.append((tuple(-int(j == 0) for j in range(n)), e1 - 1))
     rows.append((tuple(-int(j == 1) for j in range(n)), e2 - 1))
     try:
-        return validate_delzant(HPolytope(n, [HalfSpace(u, o) for u, o in rows]))
+        return validate_delzant(hpolytope(n, rows))
     except PolytopeError as exc:
         raise ValueError(f"chop parameters give an invalid polytope: {exc}") from exc
 
@@ -299,7 +299,7 @@ def scale(D: DelzantPolytope, lam) -> DelzantPolytope:
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     rows = [(h.normal, h.offset * factor) for h in D.hrep.halfspaces]
-    return validate_delzant(HPolytope(D.dim, [HalfSpace(u, o) for u, o in rows]))
+    return validate_delzant(hpolytope(D.dim, rows))
 
 
 def translate(D: DelzantPolytope, shift) -> DelzantPolytope:
@@ -309,4 +309,4 @@ def translate(D: DelzantPolytope, shift) -> DelzantPolytope:
         (h.normal, h.offset + sum(c * s for c, s in zip(h.normal, v)))
         for h in D.hrep.halfspaces
     ]
-    return validate_delzant(HPolytope(D.dim, [HalfSpace(u, o) for u, o in rows]))
+    return validate_delzant(hpolytope(D.dim, rows))

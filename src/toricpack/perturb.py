@@ -41,10 +41,9 @@ from .packing import _maximal_rays, _ranked
 from .polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
-    HPolytope,
-    HalfSpace,
     VertexData,
     _reduce,
+    hpolytope,
 )
 
 
@@ -69,12 +68,12 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     At the base vertex with active facets I the frame columns d_f (one per
     f in I) invert the active normals N_I, so the point of D(s) on the same
     facets is v_I(s) = v_I + sum_{f in I} s^f d_f.  The offset is accepted
-    exactly when every facet outside I keeps strictly positive slack at
-    every v_I(s), and D(s) is then the moved vertices in lexicographic order
-    with the base's incidence, edges and frame directions, renumbered;
-    nothing is enumerated and no frame is recomputed.  The moved neighbour
-    across the edge along d_f lies on the ray from v_I(s) along d_f (see
-    below), so the edge's lattice length is read off the moved vertices by
+    exactly when every off-vertex slack of :func:`_moved` is positive, and
+    D(s) is then the moved vertices in lexicographic order with the base's
+    incidence, edges and frame directions, renumbered; nothing is
+    enumerated and no frame is recomputed.  The moved neighbour across the
+    edge along d_f lies on the ray from v_I(s) along d_f (see below), so the
+    edge's lattice length is read off the moved vertices by
     :func:`~toricpack.delzant._edge_lengths`, as in validation.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
@@ -91,26 +90,12 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     Delzant", and otherwise "fan changed".
     """
     sv = as_vec(s)
-    if len(sv) != base.hrep.num_facets:
-        raise ValueError(
-            f"offset vector has {len(sv)} entries, the polytope has "
-            f"{base.hrep.num_facets} facets"
-        )
-    shifted = HPolytope(
-        base.dim,
-        tuple(
-            HalfSpace(h.normal, h.offset + si)
-            for h, si in zip(base.hrep.halfspaces, sv)
-        ),
+    moved, slacks = _moved(base, sv)
+    shifted = hpolytope(
+        base.dim, [(h.normal, h.offset + si) for h, si in zip(base.hrep.halfspaces, sv)]
     )
-    incidence = base.vdata.incidence
-    moved = _moved_vertices(base, sv)
-    if all(
-        h.eval_at(w) > 0
-        for w, active in zip(moved, incidence)
-        for j, h in enumerate(shifted.halfspaces)
-        if j not in active
-    ):
+    if all(x > 0 for x in slacks):
+        incidence = base.vdata.incidence
         order = sorted(range(len(moved)), key=moved.__getitem__)
         rank = {i: k for k, i in enumerate(order)}
         edges = sorted(tuple(sorted((rank[i], rank[j]))) for i, j in base.vdata.edges)
@@ -144,24 +129,37 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     raise PerturbationError("fan changed")
 
 
-def _moved_vertices(base: DelzantPolytope, sv) -> list[Vec]:
-    """v_I(s) = v_I + sum_{f in I} s^f d_f at each base vertex, in the
-    base's vertex order."""
-    return [
-        tuple(
+def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
+    """The admissibility test of the offset sv: the moved vertices
+    v_I(s) = v_I + sum_{f in I} s^f d_f in base order, and vertex by vertex
+    the slack c + a . s_I - s^j of every facet j off v_I(s) (see
+    :func:`safe_radius_estimate`), affine in s.  sv is admissible exactly
+    when every slack is positive."""
+    if len(sv) != base.hrep.num_facets:
+        raise ValueError(
+            f"offset vector has {len(sv)} entries, the polytope has "
+            f"{base.hrep.num_facets} facets"
+        )
+    moved: list[Vec] = []
+    slacks: list[Fraction] = []
+    for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames):
+        w = tuple(
             c + sum(sv[f] * d[k] for f, d in zip(active, frame.directions))
             for k, c in enumerate(v)
         )
-        for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames)
-    ]
+        moved.append(w)
+        slacks.extend(
+            h.eval_at(w) - sj
+            for j, (h, sj) in enumerate(zip(base.hrep.halfspaces, sv))
+            if j not in active
+        )
+    return moved, slacks
 
 
 def is_admissible(base: DelzantPolytope, s) -> bool:
-    try:
-        perturb(base, s)
-    except PerturbationError:
-        return False
-    return True
+    """Whether :func:`perturb` accepts s: every off-vertex slack of
+    :func:`_moved` is positive.  No member is built."""
+    return all(x > 0 for x in _moved(base, as_vec(s))[1])
 
 
 def safe_radius_estimate(base: DelzantPolytope) -> Fraction:
@@ -225,23 +223,27 @@ def compare_root_midpoint(mid: Fraction, left: Fraction, right: Fraction, n: int
 
 
 def is_homothetic(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
-    """Exact test for D2 = lam * D1 + v with rational lam > 0.
+    """Exact test for D2 = lam * D1 + v with rational lam > 0."""
+    if D1.dim != D2.dim:
+        raise ValueError("dimension mismatch")
+    return _homothetic(D1.dim, D1.euclidean_volume, D2.euclidean_volume, D1.vertices, D2.vertices)
+
+
+def _homothetic(n: int, vol1: Fraction, vol2: Fraction, verts1, verts2) -> bool:
+    """Whether the polytope with vertices verts2 and volume vol2 is
+    lam * P1 + v for the polytope P1 with vertices verts1 and volume vol1.
 
     With rational vertex data any homothety ratio is rational, so lam must
     be the rational n-th root of the volume ratio; the translation is fixed
     by the lexicographically smallest vertices and verified on the full
     vertex sets.
     """
-    if D1.dim != D2.dim:
-        raise ValueError("dimension mismatch")
-    lam = rational_nthroot(D2.euclidean_volume / D1.euclidean_volume, D1.dim)
+    lam = rational_nthroot(vol2 / vol1, n)
     if lam is None:
         return False
-    v = tuple(
-        b - lam * a for a, b in zip(D1.vertices[0], D2.vertices[0])
-    )
-    mapped = {vec_add(vec_scale(lam, w), v) for w in D1.vertices}
-    return mapped == set(D2.vertices)
+    v = tuple(b - lam * a for a, b in zip(min(verts1), min(verts2)))
+    mapped = {vec_add(vec_scale(lam, w), v) for w in verts1}
+    return mapped == set(verts2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +277,10 @@ def scan_segment(
 ) -> ScanResult:
     """Scan t -> Delta_{(1-t) s1 + t s2} at t = k/samples, k = 0..samples.
 
-    Only the two ends are built by :func:`perturb`; if one is refused, the
-    samples are walked from t = 0 and ScanError names the first
-    inadmissible t.  Every other sample is interpolated from the ends in
+    No member polytope is built.  The two ends are tested by their
+    off-vertex slacks (:func:`_moved`), t = 0 first; if one is refused,
+    :func:`perturb` runs once, at the first inadmissible sample, and
+    ScanError names its t.  Every sample is interpolated from the ends in
     integer arithmetic, and double description runs once per chamber of
     the packing down-closure, not once per sample.  Certificates: midpoint
     concavity of vol^(1/n) over the whole segment and midpoint convexity
@@ -285,11 +288,12 @@ def scan_segment(
 
     Why this gives what per-sample validation and :func:`maximize` give:
 
-    - Admissible ends make every sample admissible.  perturb accepts s
-      exactly when every off-vertex slack c + a . s_I - s^j at every moved
-      vertex is positive (see :func:`safe_radius_estimate`).  Each slack is
-      affine in s, hence in t, so positive at t = 0 and t = 1 means positive
-      on [0, 1].  Every member then has the base's vertex cones, its vertex
+    - The ends decide every sample.  Each off-vertex slack of :func:`_moved`
+      is affine in s, hence in t: a at t = 0 and b at t = 1 give
+      ((N - k) a + k b) / N at sample k.  So admissible ends make every
+      sample admissible, and if only end 1 is refused, the first refused
+      sample is the least k >= N a / (a - b) over the slacks with b <= 0.
+      Every member then has the base's vertex cones, its vertex
       v_I(t) = (1-t) v_I(0) + t v_I(1), and each edge length, read off
       v_j - v_i = l d, is interpolated likewise; its volume is Brion's sum
       over those cones (:func:`~toricpack.delzant._brion_terms`) with
@@ -331,36 +335,34 @@ def scan_segment(
         raise ValueError("need at least one subdivision")
     v1 = as_vec(s1)
     v2 = as_vec(s2)
+    n = base.dim
+    N = samples
 
-    def member(k: int) -> DelzantPolytope:
-        t = Fraction(k, samples)
-        s = vec_add(vec_scale(1 - t, v1), vec_scale(t, v2))
+    def refuse(k: int) -> None:
+        """Raise ScanError at the refused sample k, named by perturb."""
+        t = Fraction(k, N)
         try:
-            return perturb(base, s)
+            perturb(base, vec_add(vec_scale(1 - t, v1), vec_scale(t, v2)))
         except PerturbationError as exc:
             raise ScanError(f"inadmissible sample at t = {t}: {exc}") from exc
 
-    first = member(0)
-    try:
-        last = member(samples)
-    except ScanError:
-        for k in range(1, samples):
-            member(k)
-        raise
+    moved0, slacks0 = _moved(base, v1)
+    if not all(x > 0 for x in slacks0):
+        refuse(0)
+    moved1, slacks1 = _moved(base, v2)
+    if not all(x > 0 for x in slacks1):
+        refuse(min(math.ceil(N * a / (a - b)) for a, b in zip(slacks0, slacks1) if b <= 0))
 
-    n = base.dim
-    N = samples
     frames = base.frames
-    ends = [_moved_vertices(base, v) for v in (v1, v2)]
     # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
     # order, so each edge has two slots.
     slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
     lengths = _sampled(*(
         [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
-        for vs in ends
+        for vs in (moved0, moved1)
     ), N)
     xi, denoms = _brion_terms(frames)
-    heights = _sampled(*([dot(xi, v) for v in vs] for vs in ends), N)
+    heights = _sampled(*([dot(xi, v) for v in vs] for vs in (moved0, moved1)), N)
     dl = math.lcm(*denoms)
     weights = [dl // d for d in denoms]
 
@@ -445,7 +447,7 @@ def scan_segment(
         vol_root_strictly_concave_somewhere=any(c > 0 for c in vol_cmps),
         vol_root_all_midpoints_equal=all(c == 0 for c in vol_cmps),
         omega_root_midpoint_convex_near_zero=all(c <= 0 for c in near_zero),
-        endpoints_homothetic=is_homothetic(first, last),
+        endpoints_homothetic=_homothetic(n, vols[0], vols[-1], moved0, moved1),
     )
 
 

@@ -30,7 +30,6 @@ from fractions import Fraction
 from .linalg import (
     IntVec,
     Vec,
-    affine_rank,
     as_vec,
     bareiss,
     dot,
@@ -128,11 +127,6 @@ class _LowRankCone(Exception):
     pass
 
 
-def _normalize_ray(v: list[int]) -> IntVec:
-    prim, _ = gcd_primitive(tuple(v))
-    return prim
-
-
 def _greedy_row_basis(rows: list[IntVec]) -> list[int]:
     """Indices of the first linearly independent rows spanning the row
     space: the pivot columns of the transposed rows."""
@@ -214,7 +208,7 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     masks: list[int] = []  # by slot
     cols = [0] * len(rows)  # by row: the slots tight on it
     for j in range(dim):
-        rays.append(_normalize_ray([sign * row[dim + j] for row in reduced]))
+        rays.append(gcd_primitive([sign * row[dim + j] for row in reduced])[0])
         m = 0
         for pos, i in enumerate(basis):
             if pos != j:
@@ -258,7 +252,7 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
                     witness = (others & -others).bit_length() - 1
                     continue
                 rm = rays[m]
-                rays.append(_normalize_ray([dp * rm[c] - dm * rp[c] for c in range(dim)]))
+                rays.append(gcd_primitive([dp * rm[c] - dm * rp[c] for c in range(dim)])[0])
                 masks.append(common | bit_k)
         for s in range(made, len(rays)):
             bit = 1 << s
@@ -339,7 +333,7 @@ def _polytope_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
         projected = [
             tuple(dot(row, b) for b in basis_rows) for row in rows
         ]
-        qrays, _ = _dd_rays([_normalize_ray(list(p)) for p in projected], r)
+        qrays, _ = _dd_rays([gcd_primitive(p)[0] for p in projected], r)
         for y in qrays:
             x0 = sum(y[j] * basis_rows[j][0] for j in range(r))
             if x0 != 0:
@@ -422,9 +416,12 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
     kept when its tight vertex set is nonempty and lies strictly inside no
     other halfspace's tight set; of rows with equal tight sets the first is
     kept, in input order.  These are exactly the facets: P is checked
-    full-dimensional first, so every facet of P is supported by some row,
-    and no row is tight at every vertex.  The tight vertices of a row are
-    the vertices of the face it supports, and the vertex sets of faces
+    full-dimensional first, so every facet of P is supported by some row.
+    The check is that no row is tight at every vertex: such a row is tight
+    on all of P, an implicit equality, and a nonempty polytope is
+    full-dimensional exactly when its system has none (Schrijver, Theory
+    of Linear and Integer Programming, 8.2).  The tight vertices of a row
+    are the vertices of the face it supports, and the vertex sets of faces
     nest like the faces, so a row supporting a lower face has a tight set
     strictly inside that of a facet's row, while a facet's vertex set is
     strictly inside no other proper face's.  The facet's affine hull then
@@ -433,9 +430,9 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
     are its vertices, and its incidence is P's renumbered.
     """
     verts, masks = _tight_vertices(P)
-    if affine_rank(verts) < P.dim:
-        raise DegeneratePolytopeError("degenerate polytope")
     cols = _tight_columns(masks)
+    if (1 << len(verts)) - 1 in cols:
+        raise DegeneratePolytopeError("degenerate polytope")
     cols += [0] * (P.num_facets - len(cols))
     kept: dict[int, int] = {}  # index in P -> index in the reduced polytope
     seen: set[int] = set()

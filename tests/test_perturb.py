@@ -124,21 +124,20 @@ class TestPerturb:
 class TestCodes:
     """Each failure code, from the library and from the enumeration route."""
 
+    CASES = [
+        (make_cube(2), (1, 0, 0, 0), "empty", "empty: no interior"),
+        (
+            make_chopped_simplex(F(1, 10), F(1, 10)),
+            (0, 0, 0, F(-1, 5), 0),
+            "lost facet",
+            "lost facet: 1 facet(s) became redundant",
+        ),
+        (CHOPPED_CUBE, chop_shift(F(1, 16)), "not Delzant", "not Delzant: not simple at vertex 4"),
+        (CHOPPED_CUBE, chop_shift(F(1, 8)), "fan changed", "fan changed"),
+    ]
+
     @pytest.mark.parametrize("fn", [perturb, reference_perturb])
-    @pytest.mark.parametrize(
-        "base, s, code, message",
-        [
-            (make_cube(2), (1, 0, 0, 0), "empty", "empty: no interior"),
-            (
-                make_chopped_simplex(F(1, 10), F(1, 10)),
-                (0, 0, 0, F(-1, 5), 0),
-                "lost facet",
-                "lost facet: 1 facet(s) became redundant",
-            ),
-            (CHOPPED_CUBE, chop_shift(F(1, 16)), "not Delzant", "not Delzant: not simple at vertex 4"),
-            (CHOPPED_CUBE, chop_shift(F(1, 8)), "fan changed", "fan changed"),
-        ],
-    )
+    @pytest.mark.parametrize("base, s, code, message", CASES)
     def test_code(self, fn, base, s, code, message):
         with pytest.raises(PerturbationError) as info:
             fn(base, s)
@@ -248,8 +247,11 @@ class TestPairBoundsOnDemand:
         monkeypatch.setattr(module, "perturb", recorded)
         square = make_cube(2)
         scan_segment(square, (0,) * 4, RECT_DIR, 4)
-        # Only the ends are built; the other samples are interpolated.
-        assert len(members) == 2
+        # No member is built: the ends are tested by their slacks and every
+        # sample is interpolated.
+        assert len(members) == 0
+        rectangle = original(square, RECT_DIR)
+        members.append(rectangle)
         cube3 = make_cube(3)
         rho = safe_radius_estimate(cube3)
         for k in range(3):
@@ -258,7 +260,6 @@ class TestPairBoundsOnDemand:
             members.append(D)
         for D in [square, cube3, *members]:
             assert "pair_bounds" not in D.__dict__
-        rectangle = members[1]
         assert info_report(rectangle)["pair_bounds"] == [
             ["0", "1", "2", "2"],
             ["1", "0", "2", "2"],
@@ -269,6 +270,37 @@ class TestPairBoundsOnDemand:
 
 
 class TestAdmissibility:
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        module = importlib.import_module("toricpack.perturb")
+        seen = []
+        original = module._reduce
+
+        def counted(P):
+            seen.append(P)
+            return original(P)
+
+        monkeypatch.setattr(module, "_reduce", counted)
+        return seen
+
+    def test_matches_perturb_without_reduction(self, reductions):
+        """is_admissible is perturb's verdict, rejections included, from the
+        slacks alone: it never reduces the shifted H-representation."""
+        cases = [(base, s) for base, s, _, _ in TestCodes.CASES]
+        for name in sorted(TestMatchesReference.BASES):
+            base = TestMatchesReference.BASES[name]
+            rho = safe_radius_estimate(base)
+            rng = random.Random(name)
+            for factor in (F(1, 2), 2, 4):
+                cases += [
+                    (base, tuple(factor * rho * F(rng.randint(-4, 4), 4) for _ in base.hrep.halfspaces))
+                    for _ in range(4)
+                ]
+        verdicts = [is_admissible(base, s) for base, s in cases]
+        assert reductions == []
+        assert verdicts == [not isinstance(outcome(perturb, base, s), str) for base, s in cases]
+        assert True in verdicts and False in verdicts
+
     def test_zero(self, square, pentagon):
         assert is_admissible(square, (0,) * 4)
         assert is_admissible(pentagon, (0,) * 5)
@@ -501,6 +533,12 @@ class TestScanMatchesReference:
     @given(segments())
     @example(("square", (0,) * 4, RECT_DIR, 16))
     @example(("square", (0,) * 4, (4, 0, 0, 0), 8))
+    # The pentagon's homothety to 3/2 of its size.
+    @example(("pentagon", (0,) * 5, (0, 0, F(-1, 2), F(-9, 20), F(-9, 20)), 8))
+    # A translation of the square by (1/4, -1/3).
+    @example(("square", (0,) * 4, (F(1, 4), F(-1, 3), F(-1, 4), F(1, 3)), 4))
+    # The 2 x 1/2 rectangle: the square's volume, and not homothetic to it.
+    @example(("square", (0,) * 4, (0, 0, -1, F(1, 2)), 6))
     @example(("cube3", (F(1, 8),) + (0,) * 5, (F(1, 8),) + (0,) * 5, 3))
     # Two samples with as many vertices, whose tight sets agree on the rows
     # x_i <= l_ij and differ on the pair rows x_i + x_j <= l_ij.
@@ -532,8 +570,9 @@ class TestScanMatchesReference:
 
 
 class TestScanWork:
-    """A scan builds its two ends only and runs double description once per
-    chamber of the packing down-closure."""
+    """A scan builds no member, calls perturb only to name a refused sample,
+    and runs double description once per chamber of the packing
+    down-closure."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -567,7 +606,7 @@ class TestScanWork:
     def test_dd_per_chamber(self, counts, name, s2, samples, dds):
         base = SCAN_BASES[name]
         scan_segment(base, (0,) * len(s2), s2, samples)
-        assert counts == {"perturb": 2, "dd": dds}
+        assert counts == {"perturb": 0, "dd": dds}
         assert dds < samples + 1
 
     def test_homothety_offsets(self):
@@ -576,11 +615,12 @@ class TestScanWork:
         assert s2 == [0, 0, F(-1, 2), F(-9, 20), F(-9, 20)]
         assert is_homothetic(pentagon, perturb(pentagon, s2))
 
-    def test_refused_end_walks_from_zero(self, counts, square):
-        # x >= 4t meets x <= 1 at t = 1/4, the third sample.
+    def test_refused_end_perturbs_once(self, counts, square):
+        # x >= 4t meets x <= 1 at t = 1/4, the third sample, where the slack
+        # is exactly 0; perturb runs there only, to name the failure.
         with pytest.raises(ScanError, match=r"^inadmissible sample at t = 1/4: "):
             scan_segment(square, (0,) * 4, (4, 0, 0, 0), 8)
-        assert counts["perturb"] == 2 + 2 and counts["dd"] == 0
+        assert counts == {"perturb": 1, "dd": 0}
 
 
 class TestVertexAffinity:

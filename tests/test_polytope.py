@@ -230,6 +230,14 @@ class TestTightSets:
     @example(cross_polytope(3))
     @example(square_pyramid())
     @example(hpolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), 0)]))
+    # Degenerate: a point in R^2, and a flat square in R^3.
+    @example(hpolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)]))
+    @example(
+        hpolytope(
+            3,
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, 0, 0), -1), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), 0)],
+        )
+    )
     @settings(max_examples=40, deadline=None)
     def test_matches_evaluation(self, P):
         try:
