@@ -4,12 +4,14 @@ Polytopes are handled in H-representation: an intersection of halfspaces
 {x : <normal, x> >= offset} with primitive integral inward normals.  Vertices
 are enumerated by the incremental double description method (Fukuda and
 Prodon 1996) on the homogenized cone, in exact integer arithmetic; the tests
-hold it equal to an exhaustive active-set search.  A polytope is enumerated
-once, and no halfspace is evaluated at a vertex afterwards: double
-description tracks each ray's tight set exactly, so the vertex-facet
-incidence is its masks, and reduction to the minimal H-representation keeps
-the rows whose tight vertex sets are maximal, then hands the vertex set on
-to the incidence and edge data of the result.
+hold it equal to an exhaustive active-set search.  It starts from the
+whole space and pivots its lineality away, one independent row at a time;
+a system of low rank leaves lineality, which the row x0 >= 0 puts in
+x0 = 0.  A polytope is enumerated once, and no halfspace is evaluated at a
+vertex afterwards: double description tracks each ray's tight set exactly,
+so the vertex-facet incidence is its masks, and reduction to the minimal
+H-representation keeps the rows whose tight vertex sets are maximal, then
+hands the vertex set on to the incidence and edge data of the result.
 
 Adjacency is decided on bits, by one test shared by double description and
 the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
@@ -19,7 +21,7 @@ their common rows, started from the mask of all live positions, leaves only
 the pair.  Double description keeps the transpose up to date as it inserts
 rows, and keeps, per positive ray, the last third ray that proved a pair
 non-adjacent: one mask test with that witness settles a pair before any AND
-is taken (for the cube-4 packing polytope, 26 k of 64 k candidate pairs).
+is taken (for the cube-4 packing polytope, 631 k of 1.26 M candidate pairs).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import (
     IntVec,
     Vec,
     as_vec,
-    bareiss,
     dot,
     gcd_primitive,
     rat,
@@ -124,13 +125,7 @@ class VertexData:
 
 
 class _LowRankCone(Exception):
-    pass
-
-
-def _greedy_row_basis(rows: list[IntVec]) -> list[int]:
-    """Indices of the first linearly independent rows spanning the row
-    space: the pivot columns of the transposed rows."""
-    return bareiss(list(zip(*rows)))[1]
+    """Lineality is left in the cone; ``args[0]`` holds its live rays."""
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -176,66 +171,79 @@ def _third_positions(common: int, pair: int, cols: list[int], alive: int) -> int
     return acc ^ pair
 
 
+def _pivoted(v: IntVec, l: IntVec, dl: int, nz: list[tuple[int, int]]) -> IntVec:
+    """Primitive dl v - (row . v) l, the row given by its nonzero pairs nz."""
+    dv = sum(coef * v[c] for c, coef in nz)
+    return gcd_primitive([dl * x - dv * y for x, y in zip(v, l)])[0] if dv else v
+
+
 def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     """Extreme rays of the pointed cone {x : r . x >= 0 for r in rows}, with
     their tight sets: bitmasks of the row positions each ray lies on.
 
-    Incremental double description with the combinatorial adjacency test.
-    The tight sets are exact: a new ray is a positive combination of two
-    rays of nonnegative slack on every row inserted so far, so it lies on
-    exactly their common rows, and on the new row.  Each ray keeps the
-    slot it was made in, and the transpose of the tight sets (one bitmask
-    of slots per row) is kept up to date as rays are made and rows become
-    tight, so that rays p and m are adjacent exactly when the AND of the
-    columns of their common rows, started from the mask of live slots, is
-    {p, m} (:func:`_third_positions`); a dead ray only leaves that mask.
-    A third ray found on all common rows is kept as p's witness and tried
-    first on p's next pair.  The rays come back in insertion order: after
-    each row, the positive, then the zero, then the new rays.  Raises
-    _LowRankCone when rank(rows) < dim (the cone has lineality, hence no
-    extreme rays).
+    Incremental double description from R^dim, whose lineality basis is the
+    unit vectors, inserting the rows in list order; lineality is tight on
+    every row so far.  A row nonzero on a lineality vector l, with
+    row . l > 0, is a pivot: each other lineality vector and live ray v
+    becomes the primitive form of (row . l) v - (row . v) l, which is tight
+    on the row and has row . l times v's slack on every earlier row, and l
+    becomes a ray tight on every earlier row.  Another row is a double
+    description step; two adjacent rays span a face holding the lineality,
+    so they share at least dim - len(lineality) - 2 rows.  A new ray, a
+    positive combination of two rays, lies on exactly their common rows and
+    the new one.  Each ray keeps the slot it was made in, and the transpose
+    of the tight sets (one bitmask of slots per row) is kept up to date, so
+    that rays p and m are adjacent exactly when the AND of the columns of
+    their common rows, started from the mask of live slots, is {p, m}
+    (:func:`_third_positions`); a dead ray only leaves that mask.  A third
+    ray found on all common rows is kept as p's witness and tried first on
+    p's next pair.  Raises _LowRankCone with the live rays when lineality is
+    left, that is when rank(rows) < dim.
     """
-    basis = _greedy_row_basis(rows)
-    if len(basis) < dim:
-        raise _LowRankCone()
-
-    # The first cone is cut out by the basis rows B alone; its rays are the
-    # columns of B^-1.  [B | I] reduces to [d I | d B^-1].
-    unit = [[int(r == c) for c in range(dim)] for r in range(dim)]
-    reduced, _, d = bareiss([list(rows[i]) + e for i, e in zip(basis, unit)])
-    sign = 1 if d > 0 else -1
+    lineality = [(0,) * r + (1,) + (0,) * (dim - r - 1) for r in range(dim)]
     rays: list[IntVec] = []  # by slot
     masks: list[int] = []  # by slot
     cols = [0] * len(rows)  # by row: the slots tight on it
-    for j in range(dim):
-        rays.append(gcd_primitive([sign * row[dim + j] for row in reduced])[0])
-        m = 0
-        for pos, i in enumerate(basis):
-            if pos != j:
-                m |= 1 << i
-                cols[i] |= 1 << j
-        masks.append(m)
-    live = list(range(dim))
-    alive = (1 << dim) - 1
+    live: list[int] = []
+    alive = 0
 
-    need = dim - 2
-    basis_set = set(basis)
-    for k in (i for i in range(len(rows)) if i not in basis_set):
-        nz = [(c, coef) for c, coef in enumerate(rows[k]) if coef]
+    for k, row in enumerate(rows):
+        nz = [(c, coef) for c, coef in enumerate(row) if coef]
+        bit_k = 1 << k
+        dl = 0
+        for i, l in enumerate(lineality):
+            dl = sum(coef * l[c] for c, coef in nz)
+            if dl:
+                break
+        if dl:
+            del lineality[i]
+            if dl < 0:
+                l, dl = tuple(-x for x in l), -dl
+            lineality = [_pivoted(v, l, dl, nz) for v in lineality]
+            for s in live:
+                rays[s] = _pivoted(rays[s], l, dl, nz)
+                masks[s] |= bit_k
+            cols[k] = alive
+            bit = 1 << len(rays)
+            cols[:k] = [c | bit for c in cols[:k]]
+            alive |= bit
+            live.append(len(rays))
+            rays.append(l)
+            masks.append(bit_k - 1)
+            continue
+
         dots = [sum(coef * rays[s][c] for c, coef in nz) for s in live]
         pos = [(s, d) for s, d in zip(live, dots) if d > 0]
         zero = [s for s, d in zip(live, dots) if d == 0]
         neg = [(s, d) for s, d in zip(live, dots) if d < 0]
-        bit_k = 1 << k
         for s in zero:
             masks[s] |= bit_k
             cols[k] |= 1 << s
         if not neg:
             continue
-        if not pos and not zero:
-            return [], []
 
         made = len(rays)
+        need = dim - len(lineality) - 2
         for p, dp in pos:
             mp = masks[p]
             rp = rays[p]
@@ -265,6 +273,8 @@ def _dd_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
         for m, _ in neg:
             alive ^= 1 << m
         live = [p for p, _ in pos] + zero + list(range(made, len(rays)))
+    if lineality:
+        raise _LowRankCone([rays[s] for s in live])
     return [rays[s] for s in live], [masks[s] for s in live]
 
 
@@ -305,6 +315,8 @@ def _homogenized_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]
     Beside the rays come double description's tight sets, as bitmasks of
     row positions, and the insertion order: position p holds row order[p]
     of :func:`_homogenized_rows`, whose row r > 0 is halfspace r - 1 of P.
+    The row x0 >= 0 goes in first, and its pivot on e_0 makes the origin a
+    ray; the lineality left by a low-rank system is tight on it.
     """
     rows = _homogenized_rows(P)
     order = _insertion_order(rows)
@@ -318,32 +330,19 @@ def _polytope_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
     The tight sets and the insertion order come beside them, as in
     :func:`_homogenized_rays`.
 
-    Raises on empty or unbounded input.  Handles low-rank systems by passing
-    to the quotient modulo the lineality space.
+    Raises on empty or unbounded input.  Lineality left by a low-rank system
+    is tight on the row x0 >= 0, so P is nonempty exactly when some live ray
+    has x0 > 0, and then it holds a line: it is unbounded.
     """
+    # With no ray at x0 > 0 the cone has no point there, so emptiness takes
+    # precedence over lineality and over leftover recession rays.
     try:
         rays, masks, order = _homogenized_rays(P)
-    except _LowRankCone:
-        rows = _homogenized_rows(P)
-        rows = [rows[i] for i in _insertion_order(rows)]
-        # Quotient by the lineality space: parametrize x = B^T y with B a
-        # row-space basis; the x0 coordinate descends to the quotient.
-        basis_rows = [rows[i] for i in _greedy_row_basis(rows)]
-        r = len(basis_rows)
-        projected = [
-            tuple(dot(row, b) for b in basis_rows) for row in rows
-        ]
-        qrays, _ = _dd_rays([gcd_primitive(p)[0] for p in projected], r)
-        for y in qrays:
-            x0 = sum(y[j] * basis_rows[j][0] for j in range(r))
-            if x0 != 0:
-                raise UnboundedPolytopeError("unbounded polytope")
-        raise EmptyPolytopeError("empty polytope")
-    # A pointed lifted cone with no ray at x0 > 0 has no x0 > 0 points at
-    # all, so emptiness takes precedence over leftover recession rays.
+    except _LowRankCone as low:
+        rays, masks = low.args[0], None
     if all(ray[0] == 0 for ray in rays):
         raise EmptyPolytopeError("empty polytope")
-    if any(ray[0] == 0 for ray in rays):
+    if masks is None or any(ray[0] == 0 for ray in rays):
         raise UnboundedPolytopeError("unbounded polytope")
     return rays, masks, order
 

@@ -27,6 +27,14 @@ keeps the rows whose tight vertices have affine rank dim - 1, and
 vertex differences and their determinant.  :func:`solve_linear` serves the
 active-set search.
 
+The library's double description starts from the whole space and pivots
+its lineality away, one independent row at a time.  The start it replaced
+is kept here as its oracle: :func:`reference_dd_rays` solves for the first
+cone of a greedy row basis B by one elimination of [B | I], and
+:func:`reference_polytope_rays` decides a low-rank system by double
+description on the quotient modulo the lineality space.  Both share the
+library's adjacency test.
+
 The library scans an offset segment from its two ends, interpolating the
 samples between them and running double description once per chamber;
 :func:`reference_scan_segment` builds and maximizes every sample, and is
@@ -50,6 +58,8 @@ from toricpack.linalg import (
     affine_rank,
     as_vec,
     bareiss,
+    dot,
+    gcd_primitive,
     mat_det,
     mat_rank,
     nthroot_decimal,
@@ -73,8 +83,13 @@ from toricpack.polytope import (
     HalfSpace,
     HPolytope,
     PolytopeError,
+    UnboundedPolytopeError,
     VertexData,
+    _homogenized_rows,
+    _insertion_order,
+    _LowRankCone,
     _reduce,
+    _third_positions,
     enumerate_vertices,
     vertex_set,
 )
@@ -117,6 +132,98 @@ def brute_force_vertex_set(P: HPolytope) -> tuple:
     if not found:
         raise EmptyPolytopeError("empty polytope")
     return tuple(sorted(found))
+
+
+def greedy_row_basis(rows) -> list[int]:
+    """Indices of the first linearly independent rows spanning the row
+    space: the pivot columns of the transposed rows."""
+    return bareiss(list(zip(*rows)))[1]
+
+
+def reference_dd_rays(rows, dim) -> tuple[list, list[int]]:
+    """The extreme rays and tight sets of the pointed cone
+    {x : r . x >= 0 for r in rows}, by double description from the cone of
+    a greedy row basis B, whose rays are the columns of B^-1; the other
+    rows go in in list order.  Raises _LowRankCone() when
+    rank(rows) < dim."""
+    basis = greedy_row_basis(rows)
+    if len(basis) < dim:
+        raise _LowRankCone()
+
+    # [B | I] reduces to [d I | d B^-1].
+    unit = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    reduced, _, d = bareiss([list(rows[i]) + e for i, e in zip(basis, unit)])
+    sign = 1 if d > 0 else -1
+    rays, masks = [], []  # by slot
+    cols = [0] * len(rows)  # by row: the slots tight on it
+    for j in range(dim):
+        rays.append(gcd_primitive([sign * row[dim + j] for row in reduced])[0])
+        m = 0
+        for pos, i in enumerate(basis):
+            if pos != j:
+                m |= 1 << i
+                cols[i] |= 1 << j
+        masks.append(m)
+    live = list(range(dim))
+    alive = (1 << dim) - 1
+
+    basis_set = set(basis)
+    for k in (i for i in range(len(rows)) if i not in basis_set):
+        dots = [dot(rows[k], rays[s]) for s in live]
+        pos = [(s, d) for s, d in zip(live, dots) if d > 0]
+        zero = [s for s, d in zip(live, dots) if d == 0]
+        neg = [(s, d) for s, d in zip(live, dots) if d < 0]
+        for s in zero:
+            masks[s] |= 1 << k
+            cols[k] |= 1 << s
+        if not neg:
+            continue
+        if not pos and not zero:
+            return [], []
+        made = len(rays)
+        for p, dp in pos:
+            for m, dm in neg:
+                common = masks[p] & masks[m]
+                if common.bit_count() < dim - 2:
+                    continue
+                if _third_positions(common, (1 << p) | (1 << m), cols, alive):
+                    continue
+                rays.append(gcd_primitive([dp * y - dm * x for x, y in zip(rays[p], rays[m])])[0])
+                masks.append(common | 1 << k)
+        for s in range(made, len(rays)):
+            for r in range(len(rows)):
+                if masks[s] >> r & 1:
+                    cols[r] |= 1 << s
+            alive |= 1 << s
+        for m, _ in neg:
+            alive ^= 1 << m
+        live = [p for p, _ in pos] + zero + list(range(made, len(rays)))
+    return [rays[s] for s in live], [masks[s] for s in live]
+
+
+def reference_polytope_rays(P: HPolytope) -> tuple[list, list[int], list[int]]:
+    """The library's ``_polytope_rays`` with :func:`reference_dd_rays`: the
+    rays (x0; y), x0 > 0, of the homogenized cone of a bounded nonempty
+    polytope, their tight sets and the insertion order.  A low-rank system
+    is decided on the quotient modulo the lineality space, x = B^T y for a
+    row basis B, to which the x0 coordinate descends."""
+    rows = _homogenized_rows(P)
+    order = _insertion_order(rows)
+    rows = [rows[i] for i in order]
+    try:
+        rays, masks = reference_dd_rays(rows, P.dim + 1)
+    except _LowRankCone:
+        basis_rows = [rows[i] for i in greedy_row_basis(rows)]
+        projected = [tuple(dot(row, b) for b in basis_rows) for row in rows]
+        qrays, _ = reference_dd_rays([gcd_primitive(p)[0] for p in projected], len(basis_rows))
+        if any(dot(y, [b[0] for b in basis_rows]) for y in qrays):
+            raise UnboundedPolytopeError("unbounded polytope")
+        raise EmptyPolytopeError("empty polytope")
+    if all(ray[0] == 0 for ray in rays):
+        raise EmptyPolytopeError("empty polytope")
+    if any(ray[0] == 0 for ray in rays):
+        raise UnboundedPolytopeError("unbounded polytope")
+    return rays, masks, order
 
 
 def brute_force_edges(P: HPolytope, vertices, incidence) -> tuple:

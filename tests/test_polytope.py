@@ -1,20 +1,25 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import toricpack.linalg
 import toricpack.polytope
 from reference import (
     brute_force_edges,
     brute_force_vertex_set,
+    reference_dd_rays,
     reference_incidence,
+    reference_polytope_rays,
     reference_remove_redundant,
     reference_volume,
 )
+from test_linalg import low_rank_matrices
 from toricpack.delzant import (
     make_chopped_simplex,
     make_cube,
@@ -23,15 +28,18 @@ from toricpack.delzant import (
     validate_delzant,
 )
 from toricpack.linalg import affine_rank, mat_rank, vec_add, vec_scale
-from toricpack.packing import _edge_system, maximize
+from toricpack.packing import _edge_system, disjointness_oracle, maximize
 from toricpack.perturb import PerturbationError, perturb
 from toricpack.polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
     HPolytope,
     HalfSpace,
+    PolytopeError,
     UnboundedPolytopeError,
+    _dd_rays,
     _homogenized_rows,
+    _LowRankCone,
     _polytope_rays,
     _reduce,
     contains,
@@ -494,6 +502,140 @@ class TestContains:
         assert contains(P, (1, 1))  # boundary: closed convention
         with pytest.raises(ValueError):
             contains(P, (1, 2, 3))
+
+
+@st.composite
+def cone_rows(draw):
+    """Integer rows in R^dim, dim from 1 to 4, at least dim of them; half
+    the time the unit rows come first, so that the cone is the orthant cut
+    by the others."""
+    dim = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(row, min_size=dim, max_size=dim + 4))
+    if draw(st.booleans()):
+        rows = [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + rows
+    return rows, dim
+
+
+@st.composite
+def low_rank_polytopes(draw):
+    """Halfspaces in R^n, n = 2 or 3, whose normals span fewer than n
+    dimensions: strips, slabs and infeasible ones."""
+    n = draw(st.integers(2, 3))
+    nonzero = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    base = draw(st.lists(nonzero, min_size=1, max_size=n - 1))
+    rows = []
+    for coefs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                        max_size=len(base)), min_size=1, max_size=5)):
+        normal = tuple(sum(c * b[j] for c, b in zip(coefs, base)) for j in range(n))
+        if any(normal):
+            rows.append((normal, draw(st.fractions(-3, 3, max_denominator=4))))
+    assume(rows)
+    return hpolytope(n, rows)
+
+
+def dd_outcome(dd, *args):
+    """What a double description route gives: its (ray, mask) pairs as a
+    set, or the class of the error it raises."""
+    try:
+        rays, masks = dd(*args)[:2]
+    except (_LowRankCone, PolytopeError) as err:
+        return type(err)
+    return set(zip(rays, masks))
+
+
+class TestLinealityStart:
+    """Double description from the whole space against the start it
+    replaced: a greedy row basis, its first cone from one elimination of
+    [B | I], and double description on the quotient for a low-rank
+    system."""
+
+    @given(cone_rows())
+    @example(([(1, 0), (0, 1), (-1, -1)], 2))
+    @example(([(0, 1), (1, 0), (1, 1), (-1, 2)], 2))
+    @settings(max_examples=150, deadline=None)
+    def test_full_rank_rows(self, case):
+        rows, dim = case
+        assume(mat_rank(rows) == dim)
+        assert dd_outcome(_dd_rays, rows, dim) == dd_outcome(reference_dd_rays, rows, dim)
+
+    @given(low_rank_matrices(max_rows=6, max_cols=4))
+    @settings(max_examples=80, deadline=None)
+    def test_low_rank_rows(self, rows):
+        rows = [tuple(r) for r in rows]
+        dim = len(rows[0])
+        expect = dd_outcome(reference_dd_rays, rows, dim)
+        assert dd_outcome(_dd_rays, rows, dim) == expect
+        if mat_rank(rows) < dim:
+            assert expect is _LowRankCone
+
+    @given(st.one_of(low_rank_polytopes(), bounded_polytopes()))
+    @example(hpolytope(2, [((1, 0), 0), ((-1, 0), -1)]))
+    @example(hpolytope(2, [((1, 0), 0), ((-1, 0), 1)]))
+    @example(hpolytope(3, [((0, 0, 1), 0), ((0, 0, -1), -1)]))
+    @example(hpolytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), -1)]))
+    @example(hpolytope(3, [((0, 0, 1), 0), ((0, 0, -1), 1)]))
+    @example(hpolytope(2, [((1, 0), 0), ((0, 1), 0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_polytopes(self, P):
+        got = dd_outcome(_polytope_rays, P)
+        assert got == dd_outcome(reference_polytope_rays, P)
+        if mat_rank([h.normal for h in P.halfspaces]) < P.dim:
+            assert got in (EmptyPolytopeError, UnboundedPolytopeError)
+
+    def test_strip_outcomes(self):
+        strip = hpolytope(2, [((1, 0), 0), ((-1, 0), -1)])
+        with pytest.raises(UnboundedPolytopeError, match="unbounded polytope"):
+            vertex_set(strip)
+        with pytest.raises(EmptyPolytopeError, match="empty polytope"):
+            vertex_set(hpolytope(2, [((1, 0), 0), ((-1, 0), 1)]))
+
+
+class TestNoElimination:
+    """Double description eliminates nothing: ``linalg.bareiss`` runs only
+    for the vertex frames of validation, once per vertex."""
+
+    @pytest.fixture()
+    def eliminations(self, monkeypatch):
+        sizes = []
+        original = toricpack.linalg.bareiss
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return original(rows)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toricpack") and getattr(module, "bareiss", None) is original:
+                monkeypatch.setattr(module, "bareiss", counted)
+        return sizes
+
+    def test_maximize_cube4(self, eliminations):
+        D = make_cube(4)
+        eliminations.clear()
+        assert maximize(D)[0] == F(1, 3)
+        assert eliminations == []
+
+    def test_vertex_set(self, eliminations):
+        for P in (unit_square(), cross_polytope(3), triangle_prism()):
+            vertex_set(P)
+        for P in (hpolytope(2, [((1, 0), 0), ((-1, 0), -1)]),
+                  hpolytope(2, [((1, 0), 0), ((-1, 0), 1)])):
+            with pytest.raises(PolytopeError):
+                vertex_set(P)
+        assert eliminations == []
+
+    def test_disjointness_oracle_cube3(self, eliminations):
+        D = make_cube(3)
+        packings = maximize(D)[1]
+        eliminations.clear()
+        assert all(disjointness_oracle(D, p.radii) for p in packings)
+        assert eliminations == []
+
+    def test_validate_delzant_frames_only(self, eliminations):
+        for P in (make_cube(3).hrep, make_chopped_simplex(F(1, 10), F(1, 10)).hrep):
+            eliminations.clear()
+            D = validate_delzant(P)
+            assert eliminations == [D.dim] * D.num_vertices
 
 
 class TestIntersect:
