@@ -35,7 +35,6 @@ from .packing import (
     density,
     disjointness_oracle,
     maximize,
-    packing_polytope_vertices,
     realize,
     simplices_disjoint,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "make_simplex",
     "mat_det",
     "maximize",
-    "packing_polytope_vertices",
     "perturb",
     "rat",
     "rational_length",

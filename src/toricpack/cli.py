@@ -86,26 +86,30 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _render_svg(D, packing) -> str:
+def _maximize(D, svg: str | None):
+    """``maximize(D)``; with an SVG path, also the SVG of the first maximal
+    packing, written there.  A non-planar D is refused before maximizing."""
+    if svg is not None and D.dim != 2:
+        raise PolytopeError("SVG rendering needs a planar polytope")
+    max_density, packings = maximize(D)
+    if svg is None:
+        return max_density, packings
     vd = D.vdata
     order = boundary_order(vd.vertices, vd.edges)
     polygon = [vd.vertices[i] for i in order]
     labels = [f"r={format_rat(D.corner_radii[i])}" for i in order]
     hulls = [
         sorted([s.center] + [vec_add(s.center, vec_scale(s.radius, d)) for d in s.frame_columns])
-        for s in realize(D, packing.radii)
+        for s in realize(D, packings[0].radii)
     ]
-    return render_packing_svg(polygon, hulls, labels)
+    _emit(render_packing_svg(polygon, hulls, labels), svg)
+    return max_density, packings
 
 
 def cmd_pack(args) -> int:
     name, D = load_spec_file(args.spec)
-    max_density, packings = maximize(D)
+    max_density, packings = _maximize(D, args.render or None)
     doc = pack_report(D, max_density, packings, name, all_maximizers=args.all)
-    if args.render:
-        if D.dim != 2:
-            raise PolytopeError("SVG rendering needs a planar polytope")
-        _emit(_render_svg(D, packings[0]), args.render)
     if args.json:
         sys.stdout.write(dumps(doc))
     else:
@@ -143,11 +147,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_render(args) -> int:
-    name, D = load_spec_file(args.spec)
-    if D.dim != 2:
-        raise PolytopeError("SVG rendering needs a planar polytope")
-    _, packings = maximize(D)
-    _emit(_render_svg(D, packings[0]), args.out)
+    _, D = load_spec_file(args.spec)
+    _maximize(D, args.out)
     return 0
 
 

@@ -4,7 +4,8 @@ A Delzant polytope is simple (n facets at every vertex) and at each vertex
 the primitive edge directions form a Z-basis of the lattice, i.e. an
 integer matrix of determinant +-1.  Validation enriches a plain
 H-representation with the per-vertex frame data that the packing
-constructions consume.
+constructions consume.  The volume is Brion's sum over the vertex cones,
+:func:`_brion_volume`, which offset scans take for every sample too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .linalg import (
     IntVec,
     Vec,
     bareiss,
+    common_denominator,
     dot,
     mat_det,
     primitive_direction,
@@ -97,14 +99,28 @@ class DelzantPolytope:
         return tuple(bounds)
 
     @cached_property
+    def _slack_forms(self) -> tuple[tuple[tuple[int, Fraction, IntVec], ...], ...]:
+        """Vertex by vertex, each facet j off the vertex v_I as (j, c, a):
+        under offsets s its slack at v_I(s) = v_I + sum_{f in I} s^f d_f is
+        c + a . s_I - s^j, with c its slack at v_I and a = (<u_j, d_f>)_f
+        integral, the frame directions d_f being the columns of N_I^-1."""
+        return tuple(
+            tuple(
+                (j, h.eval_at(v), tuple(dot(h.normal, d) for d in frame.directions))
+                for j, h in enumerate(self.hrep.halfspaces)
+                if j not in active
+            )
+            for v, active, frame in zip(self.vertices, self.vdata.incidence, self.frames)
+        )
+
+    @cached_property
     def euclidean_volume(self) -> Fraction:
         """Exact Euclidean volume by Brion's formula over the vertex cones
-        (Brion 1988; Lawrence 1991), with the terms of
-        :func:`_brion_terms`."""
+        (Brion 1988; Lawrence 1991): :func:`_brion_volume`, the sum every
+        scan sample takes too, over the terms of :func:`_brion_terms`."""
         xi, denoms = _brion_terms(self.frames)
-        n = self.dim
-        total = sum(dot(xi, v) ** n / d for v, d in zip(self.vertices, denoms))
-        return total / math.factorial(n)
+        heights, q = common_denominator(dot(xi, v) for v in self.vertices)
+        return _brion_volume(self.dim, denoms, heights, q)
 
 
 def _brion_terms(frames) -> tuple[IntVec, list[int]]:
@@ -127,6 +143,14 @@ def _brion_terms(frames) -> tuple[IntVec, list[int]]:
     m = 1 + max(abs(c) for f in frames for d in f.directions for c in d)
     xi = tuple(m**k for k in range(n))
     return xi, [math.prod(-dot(xi, d) for d in f.directions) for f in frames]
+
+
+def _brion_volume(n: int, denoms, heights, q: int) -> Fraction:
+    """Brion's sum (1/n!) sum_v <xi, v>^n / d_v over the cone denominators
+    d_v of :func:`_brion_terms`, with <xi, v> = heights[v] / q, in integers."""
+    dl = math.lcm(*denoms)
+    total = sum(dl // d * h**n for d, h in zip(denoms, heights))
+    return Fraction(total, dl * math.factorial(n) * q**n)
 
 
 def rational_length(a, b) -> Fraction:

@@ -3,7 +3,8 @@
 Every quantity in this package is a :class:`fractions.Fraction` (or a plain
 int for lattice data).  Fractions are always stored in lowest terms with a
 positive denominator, so equality and ordering are exact; no floating point
-enters any computation here.
+enters any computation here.  Where many rationals meet in one integer
+computation, :func:`common_denominator` writes them over one denominator.
 """
 
 from __future__ import annotations
@@ -68,12 +69,19 @@ def gcd_primitive(v: Sequence[int]) -> tuple[IntVec, int]:
     return tuple(x // g for x in v), g
 
 
+def common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals xs as integer numerators over their least common
+    denominator, and that denominator (1 for no xs)."""
+    xs = list(xs)
+    q = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
+
+
 def primitive_direction(d: Sequence[Fraction]) -> tuple[IntVec, Fraction]:
     """Write a nonzero rational vector as t * u with u primitive integral, t > 0."""
     if all(x == 0 for x in d):
         raise ValueError("zero direction")
-    denom = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * denom) for x in d]
+    ints, denom = common_denominator(d)
     u, g = gcd_primitive(ints)
     return u, Fraction(g, denom)
 
@@ -116,9 +124,8 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     out = []
     scale = 1
     for r in rows:
-        q = [rat(c) for c in r]
-        m = math.lcm(*(x.denominator for x in q))
-        out.append([x.numerator * (m // x.denominator) for x in q])
+        ints, m = common_denominator(map(rat, r))
+        out.append(ints)
         scale *= m
     return out, scale
 
@@ -131,19 +138,6 @@ def mat_det(rows: Sequence[Sequence]) -> Fraction:
     a, scale = _integer_rows(rows)
     _, pivots, d = bareiss(a)
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
-
-
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank."""
-    return len(bareiss(_integer_rows(rows)[0])[1])
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    base = points[0]
-    return mat_rank([vec_sub(p, base) for p in points[1:]])
 
 
 def floor_nthroot(m: int, n: int) -> int:

@@ -12,9 +12,12 @@ radius, so each maximizer is blocked: no radius can grow alone.  The
 blocked vertices of P are the vertices of its down-closure
 P - R^V_+ = {x_i <= r_i, x_i + x_j <= l_ij on the edges of D}, an
 unbounded polyhedron with far fewer vertices (42 against 743 for the
-4-cube), and double description enumerates that.  A geometric disjointness
-oracle based on exact pairwise intersection is provided as an independent
-cross-check of the constraint description.
+4-cube), and double description enumerates that.  Its rows are built in
+one place, :func:`_maximal_rays`, in integers over a common denominator of
+the edge lengths, for :func:`maximize` and for every sample of an offset
+scan alike.  A geometric disjointness oracle based on exact pairwise
+intersection is provided as an independent cross-check of the constraint
+description.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delzant import DelzantPolytope
-from .linalg import IntVec, Vec, as_vec
-from .polytope import (
-    HalfSpace,
-    HPolytope,
-    _homogenized_rays,
-    contains,
-    intersect,
-    vertex_set,
-)
+from .linalg import IntVec, Vec, as_vec, common_denominator
+from .polytope import HalfSpace, HPolytope, _cone_rays, intersect
 
 
 @dataclass(frozen=True)
@@ -61,19 +57,6 @@ class AdmissibleSimplex:
     hull: HPolytope
 
 
-def _packing_rows(V: int, bounds, radii=None) -> HPolytope:
-    """x >= 0 in R^V, or x <= radii when given, plus x_i + x_j <= b for
-    each (i, j, b) in bounds."""
-    if radii is not None:
-        rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -radii[i]) for i in range(V)]
-    else:
-        rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
-    for i, j, b in bounds:
-        normal = tuple(-int(k == i) - int(k == j) for k in range(V))
-        rows.append(HalfSpace(normal, -b))
-    return HPolytope(V, tuple(rows))
-
-
 def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
     """Full constraint system for the feasible radii vectors of D.
 
@@ -82,45 +65,39 @@ def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
     lexicographic order.  Nonadjacent pairs are bounded by the radius sum,
     adjacent pairs by the shared edge length.
     """
+    V = D.num_vertices
     b = D.pair_bounds
-    pairs = itertools.combinations(range(D.num_vertices), 2)
-    return _packing_rows(D.num_vertices, ((i, j, b[i][j]) for i, j in pairs))
+    rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
+    for i, j in itertools.combinations(range(V), 2):
+        normal = tuple(-int(k == i) - int(k == j) for k in range(V))
+        rows.append(HalfSpace(normal, -b[i][j]))
+    return HPolytope(V, tuple(rows))
 
 
-def _binding_edges(frames, r) -> list[tuple[int, int, Fraction]]:
-    """The edges (i, j, l_ij), i < j, with l_ij < r_i + r_j, read from the
-    vertex frames (their lengths and neighbours) and the corner radii r, in
-    lexicographic order: that of ``D.vdata.edges`` for a polytope D."""
-    return sorted(
+def _maximal_rays(frames, num: list[int], q: int) -> list[IntVec]:
+    """Integer rays (x0; y), x0 > 0, of the homogenized down-closure of the
+    packing polytope with these frames' edges, one per vertex y / x0 of the
+    packing polytope at which no radius can grow alone; the recession rays
+    -e_i (x0 = 0) are left out.  The lengths are num / q, one per edge
+    slot: the neighbours of each frame in turn, so :func:`maximize` and
+    each scan sample pass their own.  With r_i the least length at i, the
+    rows are x0 >= 0, r_i x0 - q x_i >= 0, and l x0 - q (x_i + x_j) >= 0
+    on each edge (i, j), i < j, with l < r_i + r_j, in lexicographic
+    order; the other edge rows are implied by x_i <= r_i.
+    """
+    V = len(frames)
+    n = len(num) // V
+    r = [min(num[i * n:(i + 1) * n]) for i in range(V)]
+    rows = [(1,) + (0,) * V]
+    rows += [(r[i],) + tuple(-q * (k == i) for k in range(V)) for i in range(V)]
+    edges = sorted(
         (i, j, t)
         for i, f in enumerate(frames)
-        for t, j in zip(f.lengths, f.neighbor_indices)
+        for t, j in zip(num[i * n:(i + 1) * n], f.neighbor_indices)
         if i < j and t < r[i] + r[j]
     )
-
-
-def _edge_system(D: DelzantPolytope) -> HPolytope:
-    """The packing polytope from the edge graph of D: x >= 0, plus
-    x_i + x_j <= l_ij on each edge (i, j) with l_ij < r_i + r_j.
-
-    Every other row of :func:`build_packing_polytope` is implied: the
-    minimal edge at vertex i gives x_i + x_k <= r_i with x_k >= 0, hence
-    x_i <= r_i, so x_i + x_j <= r_i + r_j holds for every pair.  The set is
-    the same, and the edges come in lexicographic pair order.
-    """
-    return _packing_rows(D.num_vertices, _binding_edges(D.frames, D.corner_radii))
-
-
-def _maximal_rays(frames) -> list[IntVec]:
-    """Integer rays (x0; y), x0 > 0, of the homogenized down-closure
-    {x_i <= r_i, x_i + x_j <= l_ij on the edges of the edge system} of the
-    polytope with these vertex frames: one per vertex y / x0 of the packing
-    polytope at which no radius can grow alone.  The rays with x0 = 0 are
-    the recession directions -e_i and are left out.
-    """
-    r = tuple(min(f.lengths) for f in frames)
-    down = _packing_rows(len(frames), _binding_edges(frames, r), r)
-    return [ray for ray in _homogenized_rays(down)[0] if ray[0]]
+    rows += [(t,) + tuple(-q * (k == i or k == j) for k in range(V)) for i, j, t in edges]
+    return [ray for ray in _cone_rays(rows, V + 1)[0] if ray[0]]
 
 
 def _ranked(rays, n: int) -> tuple[Fraction, list[IntVec]]:
@@ -151,11 +128,6 @@ def density(D: DelzantPolytope, x) -> Fraction:
     return sum(c**n for c in pt) / (math.factorial(n) * D.euclidean_volume)
 
 
-def packing_polytope_vertices(D: DelzantPolytope) -> tuple[Vec, ...]:
-    """All vertices of the packing polytope, lexicographically sorted."""
-    return vertex_set(_edge_system(D))
-
-
 def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """Exact maximum density and all maximal packings.
 
@@ -183,16 +155,27 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
       for every edge at j, and every point below P meets the rows.
     """
     n = D.dim
-    best, argmax = _ranked(_maximal_rays(D.frames), n)
+    lengths = common_denominator(t for f in D.frames for t in f.lengths)
+    best, argmax = _ranked(_maximal_rays(D.frames, *lengths), n)
     value = best / (math.factorial(n) * D.euclidean_volume)
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
     return value, tuple(Packing(v, value) for v in verts)
 
 
 def realize(D: DelzantPolytope, x) -> tuple[AdmissibleSimplex, ...]:
-    """Admissible simplices of a feasible radii vector (positive radii only)."""
+    """Admissible simplices of a feasible radii vector (positive radii only).
+
+    x is checked on x >= 0 and x_i + x_j <= l_ij on the frames' edges, as
+    the least edge at i gives x_i <= r_i, implying the other pair rows.
+    """
     pt = as_vec(x)
-    if not contains(_edge_system(D), pt):
+    if len(pt) != D.num_vertices:
+        raise ValueError("dimension mismatch")
+    if any(c < 0 for c in pt) or any(
+        pt[i] + pt[j] > t
+        for i, f in enumerate(D.frames)
+        for t, j in zip(f.lengths, f.neighbor_indices)
+    ):
         raise ValueError("not a packing")
     return tuple(
         admissible_simplex(D, i, c) for i, c in enumerate(pt) if c > 0

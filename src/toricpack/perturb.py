@@ -9,7 +9,9 @@ keeps their frame directions, with no vertex enumeration; only a rejected
 parameter is enumerated, to name what failed.  Along segments of
 admissible parameters the polytopes interpolate Minkowski-linearly, and
 the n-th roots of volume and of maximal density satisfy discrete
-concavity/convexity certificates checked here in exact arithmetic.
+concavity/convexity certificates checked here in exact arithmetic.  A
+scan interpolates its samples in integers and passes them to the routes
+that :func:`maximize` and ``euclidean_volume`` take.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .delzant import (
     NotDelzantError,
     VertexFrame,
     _brion_terms,
+    _brion_volume,
     _edge_lengths,
     _validate_reduced,
 )
@@ -30,6 +33,7 @@ from .linalg import (
     IntVec,
     Vec,
     as_vec,
+    common_denominator,
     dot,
     nthroot_bounds,
     nthroot_decimal,
@@ -132,9 +136,8 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
 def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
     """The admissibility test of the offset sv: the moved vertices
     v_I(s) = v_I + sum_{f in I} s^f d_f in base order, and vertex by vertex
-    the slack c + a . s_I - s^j of every facet j off v_I(s) (see
-    :func:`safe_radius_estimate`), affine in s.  sv is admissible exactly
-    when every slack is positive."""
+    every off-vertex slack c + a . s_I - s^j of ``base._slack_forms``.  sv
+    is admissible exactly when every slack is positive."""
     if len(sv) != base.hrep.num_facets:
         raise ValueError(
             f"offset vector has {len(sv)} entries, the polytope has "
@@ -142,17 +145,15 @@ def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
         )
     moved: list[Vec] = []
     slacks: list[Fraction] = []
-    for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames):
-        w = tuple(
-            c + sum(sv[f] * d[k] for f, d in zip(active, frame.directions))
+    for v, active, frame, forms in zip(
+        base.vertices, base.vdata.incidence, base.frames, base._slack_forms
+    ):
+        s_I = [sv[f] for f in active]
+        moved.append(tuple(
+            c + sum(x * d[k] for x, d in zip(s_I, frame.directions))
             for k, c in enumerate(v)
-        )
-        moved.append(w)
-        slacks.extend(
-            h.eval_at(w) - sj
-            for j, (h, sj) in enumerate(zip(base.hrep.halfspaces, sv))
-            if j not in active
-        )
+        ))
+        slacks.extend(c + dot(a, s_I) - sv[j] for j, c, a in forms)
     return moved, slacks
 
 
@@ -167,24 +168,14 @@ def safe_radius_estimate(base: DelzantPolytope) -> Fraction:
 
     The bound is open: every offset s with max|s^i| strictly below the
     returned radius is admissible, and some offset with max|s^i| equal to
-    it is not.  At the vertex with active facets I the normals N_I form a
-    unimodular matrix whose inverse is the vertex frame (the edge
-    directions d_f, ordered by the facet f each leaves), and the vertex
-    moves as v_I(s) = N_I^-1 (lambda_I + s_I).  The slack of another facet
-    j there is c + a . s_I - s^j, with c its slack at the base vertex and
-    a = u_j N_I^-1 = (<u_j, d_f>)_f (integral).  It stays positive for all
-    max|s^i| < rho exactly when rho <= c / (|a|_1 + 1); the radius is the
-    least such bound over all vertices and facets.
+    it is not.  Each off-vertex slack c + a . s_I - s^j of
+    ``base._slack_forms`` stays positive for all max|s^i| < rho exactly when
+    rho <= c / (|a|_1 + 1); the radius is the least such bound over all
+    vertices and facets.
     """
-    halfspaces = base.hrep.halfspaces
-    bounds: list[Fraction] = []
-    for v, active, frame in zip(base.vertices, base.vdata.incidence, base.frames):
-        for j, h in enumerate(halfspaces):
-            if j in active:
-                continue
-            a = [dot(h.normal, d) for d in frame.directions]
-            bounds.append(h.eval_at(v) / (sum(abs(c) for c in a) + 1))
-    return min(bounds)
+    return min(
+        c / (sum(map(abs, a)) + 1) for forms in base._slack_forms for _, c, a in forms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +287,19 @@ def scan_segment(
       Every member then has the base's vertex cones, its vertex
       v_I(t) = (1-t) v_I(0) + t v_I(1), and each edge length, read off
       v_j - v_i = l d, is interpolated likewise; its volume is Brion's sum
-      over those cones (:func:`~toricpack.delzant._brion_terms`) with
+      over those cones, :func:`~toricpack.delzant._brion_volume` as in
+      ``euclidean_volume``, with
       <xi, v(t)> = (1-t) <xi, v(0)> + t <xi, v(1)>.
-    - The chambers.  In base vertex order the down-closure that
-      :func:`~toricpack.packing._maximal_rays` enumerates is also cut out
-      by the fixed rows x_i <= l_e for each edge e at i and
-      x_i + x_j <= l_ij for each edge (r_i is the least l_e at i, and a
-      pair row with l_ij >= r_i + r_j is implied), and each right-hand side
-      is affine in t.  Each vertex is keyed by its tight set on these rows.
-      Distinct vertices have distinct tight sets: a vertex is the only
-      solution of its tight rows.
+    - The chambers.  Double description runs on the rows that
+      :func:`~toricpack.packing._maximal_rays` builds from the sample's
+      edge lengths, as for :func:`maximize`.  In base vertex order their
+      down-closure is also cut out by the fixed rows x_i <= l_e for each
+      edge e at i and x_i + x_j <= l_ij for each edge (r_i is the least
+      l_e at i, and a pair row with l_ij >= r_i + r_j is implied), and each
+      right-hand side is affine in t.  Each vertex is keyed by its tight set on these rows
+      as soon as double description returns it.  Distinct vertices have
+      distinct tight sets, since a vertex is the only solution of its
+      tight rows, so equal key sets mean equal vertex counts.
     - Equal families of tight sets at samples t_a < t_b give, at every t
       in between, exactly the interpolated vertices with the same tight
       sets.  Let y(t) interpolate the vertices of tight set T at t_a and
@@ -355,52 +349,44 @@ def scan_segment(
 
     frames = base.frames
     # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
-    # order, so each edge has two slots.
+    # order, so each edge has two slots; slot e keys its two rows by the
+    # bits 2e and 2e + 1.
     slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
+    bits = [1 << 2 * e for e in range(len(slots))]
     lengths = _sampled(*(
         [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
         for vs in (moved0, moved1)
     ), N)
     xi, denoms = _brion_terms(frames)
     heights = _sampled(*([dot(xi, v) for v in vs] for vs in (moved0, moved1)), N)
-    dl = math.lcm(*denoms)
-    weights = [dl // d for d in denoms]
 
-    def volume(k: int) -> Fraction:
-        h, q = heights(k)
-        return Fraction(sum(w * x**n for w, x in zip(weights, h)), dl * math.factorial(n) * q**n)
-
-    found: dict[int, list[IntVec]] = {}
     keyed: dict[int, dict[int, IntVec]] = {}
     ranked: dict[int, tuple[Fraction, list[IntVec]]] = {}
 
     def run_dd(k: int) -> None:
+        """Double description at sample k: its rays ranked, and keyed by
+        their tight sets on the fixed rows, per edge slot (i, j)
+        x_i <= l_ij and x_i + x_j <= l_ij."""
         num, q = lengths(k)
-        found[k] = _maximal_rays([
-            VertexFrame(f.directions, tuple(Fraction(c, q) for c in num[i * n:(i + 1) * n]), f.neighbor_indices)
-            for i, f in enumerate(frames)
-        ])
-        ranked[k] = _ranked(found[k], n)
-
-    def family(k: int) -> dict[int, IntVec]:
-        """The rays of sample k keyed by their tight sets on the fixed
-        rows: per edge slot (i, j), x_i <= l_ij and x_i + x_j <= l_ij."""
-        if k not in keyed:
-            num, q = lengths(k)
-            keyed[k] = {}
-            for ray in found[k]:
-                y = [c * q for c in ray[1:]]
-                tight = 0
-                for e, (i, j) in enumerate(slots):
-                    c = num[e] * ray[0]
-                    tight |= ((y[i] == c) | (y[i] + y[j] == c) << 1) << 2 * e
-                keyed[k][tight] = ray
-        return keyed[k]
+        rays = _maximal_rays(frames, num, q)
+        ranked[k] = _ranked(rays, n)
+        keyed[k] = {}
+        for ray in rays:
+            x0 = ray[0]
+            y = [c * q for c in ray[1:]]
+            tight = 0
+            for bit, (i, j), t in zip(bits, slots, num):
+                c = t * x0
+                if y[i] == c:
+                    tight |= bit
+                if y[i] + y[j] == c:
+                    tight |= bit << 1
+            keyed[k][tight] = ray
 
     def fill(a: int, b: int) -> None:
         if b - a < 2:
             return
-        if len(found[a]) != len(found[b]) or family(a).keys() != family(b).keys():
+        if keyed[a].keys() != keyed[b].keys():
             m = (a + b) // 2
             run_dd(m)
             fill(a, m)
@@ -422,7 +408,7 @@ def scan_segment(
     fill(0, N)
 
     ts = [Fraction(k, N) for k in range(N + 1)]
-    vols = [volume(k) for k in range(N + 1)]
+    vols = [_brion_volume(n, denoms, *heights(k)) for k in range(N + 1)]
     omegas = [ranked[k][0] / (math.factorial(n) * vols[k]) for k in range(N + 1)]
     counts = [len(ranked[k][1]) for k in range(N + 1)]
     decs = [nthroot_decimal(om, n) for om in omegas]
@@ -454,8 +440,6 @@ def scan_segment(
 def _sampled(xs, ys, N: int):
     """k -> the values (1 - k/N) x + (k/N) y for x, y in zip(xs, ys), as
     integer numerators over one common denominator, and that denominator."""
-    qx = math.lcm(*(x.denominator for x in xs))
-    qy = math.lcm(*(y.denominator for y in ys))
-    a = [x.numerator * (qx // x.denominator) * qy for x in xs]
-    b = [y.numerator * (qy // y.denominator) * qx for y in ys]
-    return lambda k: ([(N - k) * x + k * y for x, y in zip(a, b)], N * qx * qy)
+    a, qx = common_denominator(xs)
+    b, qy = common_denominator(ys)
+    return lambda k: ([(N - k) * x * qy + k * y * qx for x, y in zip(a, b)], N * qx * qy)

@@ -12,6 +12,8 @@ vertex afterwards: double description tracks each ray's tight set exactly,
 so the vertex-facet incidence is its masks, and reduction to the minimal
 H-representation keeps the rows whose tight vertex sets are maximal, then
 hands the vertex set on to the incidence and edge data of the result.
+Every double description, of a polytope or of the packing down-closure,
+goes through :func:`_cone_rays`, which alone fixes the row insertion order.
 
 Adjacency is decided on bits, by one test shared by double description and
 the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
@@ -306,21 +308,19 @@ def _insertion_order(rows: list[IntVec]) -> list[int]:
     return sorted(range(len(rows)), key=lambda i: (last_nonzero(rows[i]), i))
 
 
-def _homogenized_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
-    """Extreme rays (x0; y) of the homogenized cone of a polyhedron P, whose
-    rows must have rank P.dim + 1: the rays with x0 > 0 are the vertices
-    y / x0 of P, those with x0 = 0 its extreme recession directions.
-    Raises _LowRankCone otherwise.
+def _cone_rays(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int], list[int]]:
+    """Extreme rays of the pointed cone {x in R^dim : r . x >= 0 for r in
+    rows}, by double description with the rows in :func:`_insertion_order`.
+    The rows must have rank dim; raises _LowRankCone otherwise.
 
-    Beside the rays come double description's tight sets, as bitmasks of
-    row positions, and the insertion order: position p holds row order[p]
-    of :func:`_homogenized_rows`, whose row r > 0 is halfspace r - 1 of P.
-    The row x0 >= 0 goes in first, and its pivot on e_0 makes the origin a
-    ray; the lineality left by a low-rank system is tight on it.
+    Beside the rays come their tight sets, as bitmasks of insertion
+    positions, and the insertion order: position p holds row order[p].
+    A homogenized system's row x0 >= 0, nonzero only at x0, goes in first,
+    and its pivot on e_0 makes the origin a ray; the lineality left by a
+    low-rank system is tight on it.
     """
-    rows = _homogenized_rows(P)
     order = _insertion_order(rows)
-    rays, masks = _dd_rays([rows[i] for i in order], P.dim + 1)
+    rays, masks = _dd_rays([rows[i] for i in order], dim)
     return rays, masks, order
 
 
@@ -328,7 +328,8 @@ def _polytope_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
     """Extreme rays (x0; y) of the homogenized cone of a bounded, nonempty
     polytope, each with x0 > 0: the vertices of P are y / x0, one per ray.
     The tight sets and the insertion order come beside them, as in
-    :func:`_homogenized_rays`.
+    :func:`_cone_rays`; row r > 0 of :func:`_homogenized_rows` is
+    halfspace r - 1 of P.
 
     Raises on empty or unbounded input.  Lineality left by a low-rank system
     is tight on the row x0 >= 0, so P is nonempty exactly when some live ray
@@ -337,7 +338,7 @@ def _polytope_rays(P: HPolytope) -> tuple[list[IntVec], list[int], list[int]]:
     # With no ray at x0 > 0 the cone has no point there, so emptiness takes
     # precedence over lineality and over leftover recession rays.
     try:
-        rays, masks, order = _homogenized_rays(P)
+        rays, masks, order = _cone_rays(_homogenized_rows(P), P.dim + 1)
     except _LowRankCone as low:
         rays, masks = low.args[0], None
     if all(ray[0] == 0 for ray in rays):

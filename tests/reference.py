@@ -39,6 +39,16 @@ The library scans an offset segment from its two ends, interpolating the
 samples between them and running double description once per chamber;
 :func:`reference_scan_segment` builds and maximizes every sample, and is
 the oracle for it.
+
+The library builds the rows of the packing down-closure once, in integers
+over a common denominator of the edge lengths, and checks a packing on the
+edges read from the frames.  The routes they replaced are kept here:
+:func:`reference_maximal_rays` builds the down-closure as an ``HPolytope``
+from the binding edges filtered through the pair-bound matrix, and
+homogenizes it; :func:`reference_edge_system` is the packing polytope from
+those edges, and :func:`packing_polytope_vertices` enumerates it.
+:func:`mat_rank` and :func:`affine_rank`, which the library no longer
+calls, serve the references here.
 """
 
 import itertools
@@ -55,13 +65,11 @@ from toricpack.delzant import (
 from toricpack.linalg import (
     Vec,
     _integer_rows,
-    affine_rank,
     as_vec,
     bareiss,
     dot,
     gcd_primitive,
     mat_det,
-    mat_rank,
     nthroot_decimal,
     primitive_direction,
     vec_add,
@@ -85,6 +93,7 @@ from toricpack.polytope import (
     PolytopeError,
     UnboundedPolytopeError,
     VertexData,
+    _cone_rays,
     _homogenized_rows,
     _insertion_order,
     _LowRankCone,
@@ -109,6 +118,19 @@ def solve_linear(rows, rhs) -> Vec:
     if pivots != list(range(n)):
         raise SingularMatrixError("degenerate system")
     return tuple(Fraction(r[n], d) for r in reduced)
+
+
+def mat_rank(rows) -> int:
+    """Exact rank."""
+    return len(bareiss(_integer_rows(rows)[0])[1])
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set (-1 for the empty set)."""
+    if not points:
+        return -1
+    base = points[0]
+    return mat_rank([vec_sub(p, base) for p in points[1:]])
 
 
 def brute_force_vertex_set(P: HPolytope) -> tuple:
@@ -489,3 +511,46 @@ def reference_scan_segment(
         omega_root_midpoint_convex_near_zero=all(c <= 0 for c in near_zero),
         endpoints_homothetic=is_homothetic(first, last),
     )
+
+
+def reference_binding_edges(D: DelzantPolytope) -> list:
+    """The edges (i, j, l_ij) with l_ij < r_i + r_j, filtered from the
+    edge list through the full pair-bound matrix, in lexicographic order."""
+    r, b = D.corner_radii, D.pair_bounds
+    return [(i, j, b[i][j]) for i, j in D.vdata.edges if b[i][j] < r[i] + r[j]]
+
+
+def reference_packing_rows(V: int, bounds, radii=None) -> HPolytope:
+    """x >= 0 in R^V, or x <= radii when given, plus x_i + x_j <= b for
+    each (i, j, b) in bounds."""
+    if radii is not None:
+        rows = [HalfSpace(tuple(-int(k == i) for k in range(V)), -radii[i]) for i in range(V)]
+    else:
+        rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
+    for i, j, b in bounds:
+        normal = tuple(-int(k == i) - int(k == j) for k in range(V))
+        rows.append(HalfSpace(normal, -b))
+    return HPolytope(V, tuple(rows))
+
+
+def reference_edge_system(D: DelzantPolytope) -> HPolytope:
+    """The packing polytope from the edge graph of D: x >= 0, plus
+    x_i + x_j <= l_ij on each edge (i, j) with l_ij < r_i + r_j.  Every
+    other row of ``build_packing_polytope`` is implied."""
+    return reference_packing_rows(D.num_vertices, reference_binding_edges(D))
+
+
+def packing_polytope_vertices(D: DelzantPolytope) -> tuple:
+    """All vertices of the packing polytope, lexicographically sorted."""
+    return vertex_set(reference_edge_system(D))
+
+
+def reference_maximal_rays(D: DelzantPolytope) -> list:
+    """The rays (x0; y), x0 > 0, of the homogenized down-closure
+    {x_i <= r_i, x_i + x_j <= l_ij on the binding edges} of D's packing
+    polytope, built as an ``HPolytope`` with ``Fraction`` offsets and
+    homogenized row by row, then enumerated by the library's double
+    description."""
+    down = reference_packing_rows(D.num_vertices, reference_binding_edges(D), D.corner_radii)
+    rays = _cone_rays(_homogenized_rows(down), D.num_vertices + 1)[0]
+    return [ray for ray in rays if ray[0]]

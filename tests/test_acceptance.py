@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference import vertex_affinity_holds
+from reference import packing_polytope_vertices, vertex_affinity_holds
 
 from toricpack.delzant import (
     make_chopped_simplex,
@@ -23,7 +23,6 @@ from toricpack.packing import (
     density,
     disjointness_oracle,
     maximize,
-    packing_polytope_vertices,
     simplices_disjoint,
 )
 from toricpack.perturb import (

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from toricpack import cli
 from toricpack.cli import main
 
 F = Fraction
@@ -297,6 +298,19 @@ class TestPack:
         run(capsys, "family", "cube", "3", "-o", str(spec))
         code, _, err = run(capsys, "render", str(spec), str(tmp_path / "x.svg"))
         assert code == 2
+
+    def test_pack_render_rejects_3d_before_maximize(self, tmp_path, capsys, monkeypatch):
+        # pack --render refuses a non-planar spec as render does, before any
+        # packing is maximized.
+        spec = tmp_path / "cube3.json"
+        run(capsys, "family", "cube", "3", "-o", str(spec))
+        svg = tmp_path / "x.svg"
+        refused = run(capsys, "render", str(spec), str(svg))
+        calls = []
+        monkeypatch.setattr(cli, "maximize", calls.append)
+        assert run(capsys, "pack", str(spec), "--render", str(svg)) == refused
+        assert refused == (2, "", "error: SVG rendering needs a planar polytope\n")
+        assert calls == [] and not svg.exists()
 
     def test_deterministic_output(self, square_spec, capsys):
         _, out1, _ = run(capsys, "pack", str(square_spec), "--all", "--json")

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SingularMatrixError, greedy_row_basis, solve_linear
-from toricpack.linalg import (
+from reference import (
+    SingularMatrixError,
     affine_rank,
+    greedy_row_basis,
+    mat_rank,
+    solve_linear,
+)
+from toricpack.linalg import (
+    common_denominator,
     floor_nthroot,
     format_rat,
     gcd_primitive,
     mat_det,
-    mat_rank,
     nthroot_bounds,
     nthroot_decimal,
     primitive_direction,
@@ -205,6 +210,13 @@ class TestRankAndDirections:
         # Row k is in the basis iff it raises the rank of the rows before it.
         expect = [k for k in range(len(rows)) if minor_rank(rows[: k + 1]) > minor_rank(rows[:k])]
         assert greedy_row_basis(rows) == expect
+
+    @given(st.lists(rationals, max_size=6))
+    @settings(max_examples=60)
+    def test_common_denominator(self, xs):
+        nums, q = common_denominator(xs)
+        assert [Fraction(x, q) for x in nums] == xs
+        assert q == math.lcm(*(x.denominator for x in xs))
 
     def test_primitive_direction(self):
         u, t = primitive_direction((Fraction(1, 2), Fraction(1, 2)))

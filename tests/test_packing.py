@@ -1,21 +1,26 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_volume
+from reference import (
+    packing_polytope_vertices,
+    reference_edge_system,
+    reference_maximal_rays,
+    reference_volume,
+)
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
+from toricpack.linalg import common_denominator
 from toricpack.packing import (
-    _binding_edges,
     _maximal_rays,
     admissible_simplex,
     build_packing_polytope,
     density,
     disjointness_oracle,
     maximize,
-    packing_polytope_vertices,
     realize,
 )
 from toricpack.perturb import perturb, safe_radius_estimate
@@ -74,10 +79,16 @@ def blocked_vertices(D):
     ]
 
 
+def maximal_rays(D):
+    """The rays that maximize ranks: those of the down-closure built from
+    D's edge lengths over their common denominator."""
+    return _maximal_rays(D.frames, *common_denominator(t for f in D.frames for t in f.lengths))
+
+
 def down_closure_vertices(D):
     """The vertices y / x0 of the rays that maximize ranks, sorted; every
     ray must be finite."""
-    rays = _maximal_rays(D.frames)
+    rays = maximal_rays(D)
     assert all(ray[0] > 0 for ray in rays)
     verts = sorted(tuple(F(c, ray[0]) for c in ray[1:]) for ray in rays)
     assert len(set(verts)) == len(verts)
@@ -220,28 +231,23 @@ class TestMaximizeMatchesFullSystem:
         assert all(p.density == best for p in packs)
 
 
-def binding_edges_from_pair_bounds(D):
-    """The edges (i, j, l_ij) with l_ij < r_i + r_j, filtered from the
-    edge list through the full pair-bound matrix."""
-    r, b = D.corner_radii, D.pair_bounds
-    return [(i, j, b[i][j]) for i, j in D.vdata.edges if b[i][j] < r[i] + r[j]]
-
-
 class TestBindingEdges:
-    """The binding edges read from the frames equal the filter over the
-    edge list and the pair bounds, in the same order."""
+    """The down-closure rows built in integers from the frames, with the
+    binding edges read from the frames' lengths, give the rays of the
+    HPolytope route over the binding edges filtered through the pair
+    bounds: the same rays in the same order."""
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_fixtures(self, name):
         D = BASES[name]
-        assert _binding_edges(D.frames, D.corner_radii) == binding_edges_from_pair_bounds(D)
+        assert maximal_rays(D) == reference_maximal_rays(D)
 
     @settings(max_examples=25, deadline=None)
     @given(admissible_offsets())
     def test_offsets(self, case):
         name, offsets = case
         D = perturb(BASES[name], offsets)
-        assert _binding_edges(D.frames, D.corner_radii) == binding_edges_from_pair_bounds(D)
+        assert maximal_rays(D) == reference_maximal_rays(D)
 
 
 class TestDownClosure:
@@ -330,6 +336,27 @@ class TestRealize:
     def test_infeasible(self, square):
         with pytest.raises(ValueError, match="not a packing"):
             realize(square, (1, 1, 0, 0))
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_refuses_as_edge_system(self, name):
+        # Up to three radii at quarter steps of their corner radius, one step
+        # below 0 to two above r_i, and the rest 0: they meet the rows
+        # x_i + x_j <= l_ij on both sides and with equality.
+        D = BASES[name]
+        system = reference_edge_system(D)
+        rng = random.Random(name)
+        refused = 0
+        for _ in range(200):
+            x = [F(0)] * D.num_vertices
+            for i in rng.sample(range(D.num_vertices), rng.randint(1, 3)):
+                x[i] = D.corner_radii[i] * F(rng.randint(-1, 6), 4)
+            if contains(system, x):
+                realize(D, x)
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="^not a packing$"):
+                    realize(D, x)
+        assert 0 < refused < 200
 
     def test_volume_law(self, pentagon):
         for i, r in enumerate(pentagon.corner_radii):

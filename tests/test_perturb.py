@@ -572,7 +572,7 @@ class TestScanMatchesReference:
 class TestScanWork:
     """A scan builds no member, calls perturb only to name a refused sample,
     and runs double description once per chamber of the packing
-    down-closure."""
+    down-closure: one ``_cone_rays`` call from the down-closure builder."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -588,9 +588,7 @@ class TestScanWork:
             return wrapper
 
         monkeypatch.setattr(perturb_module, "perturb", counted("perturb", perturb_module.perturb))
-        monkeypatch.setattr(
-            packing_module, "_homogenized_rays", counted("dd", packing_module._homogenized_rays)
-        )
+        monkeypatch.setattr(packing_module, "_cone_rays", counted("dd", packing_module._cone_rays))
         return seen
 
     @pytest.mark.parametrize(

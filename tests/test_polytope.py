@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 import toricpack.linalg
 import toricpack.polytope
 from reference import (
+    affine_rank,
     brute_force_edges,
     brute_force_vertex_set,
+    mat_rank,
     reference_dd_rays,
+    reference_edge_system,
     reference_incidence,
     reference_polytope_rays,
     reference_remove_redundant,
@@ -27,8 +30,8 @@ from toricpack.delzant import (
     make_simplex,
     validate_delzant,
 )
-from toricpack.linalg import affine_rank, mat_rank, vec_add, vec_scale
-from toricpack.packing import _edge_system, disjointness_oracle, maximize
+from toricpack.linalg import vec_add, vec_scale
+from toricpack.packing import disjointness_oracle, maximize
 from toricpack.perturb import PerturbationError, perturb
 from toricpack.polytope import (
     DegeneratePolytopeError,
@@ -368,7 +371,7 @@ class TestDoubleDescriptionInvariants:
     def test_edge_systems(self, D, count):
         # The packing systems that maximize enumerates.  The brute-force
         # reference reaches the prism's; the other counts are pinned.
-        P = _edge_system(D)
+        P = reference_edge_system(D)
         assert len(checked_rays(P)) == count
         if P.num_facets <= 15:
             assert len(brute_force_vertex_set(P)) == count
