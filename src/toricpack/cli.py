@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from .delzant import NotDelzantError
 from .jsonio import (
     SpecFileError,
     direction_from_json,
@@ -25,12 +24,7 @@ from .jsonio import (
 )
 from .linalg import format_rat, vec_add, vec_scale
 from .packing import maximize, realize
-from .perturb import (
-    PerturbationError,
-    ScanError,
-    safe_radius_estimate,
-    scan_segment,
-)
+from .perturb import safe_radius_estimate, scan_segment
 from .polytope import PolytopeError
 from .svgrender import boundary_order, render_packing_svg
 
@@ -109,8 +103,8 @@ def _maximize(D, svg: str | None):
 def cmd_pack(args) -> int:
     name, D = load_spec_file(args.spec)
     max_density, packings = _maximize(D, args.render or None)
-    doc = pack_report(D, max_density, packings, name, all_maximizers=args.all)
     if args.json:
+        doc = pack_report(D, max_density, packings, name, all_maximizers=args.all)
         sys.stdout.write(dumps(doc))
     else:
         label = f"{name}: " if name else ""
@@ -118,8 +112,8 @@ def cmd_pack(args) -> int:
             f"{label}max density {format_rat(max_density)} "
             f"({len(packings)} maximal packing(s))\n"
         )
-        for radii in doc["maximal_packings"]:
-            sys.stdout.write("  " + " ".join(radii) + "\n")
+        for p in packings if args.all else packings[:1]:
+            sys.stdout.write("  " + " ".join(map(format_rat, p.radii)) + "\n")
     return 0
 
 
@@ -213,9 +207,6 @@ def main(argv=None) -> int:
     except (UsageError, SpecFileError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NotDelzantError, PerturbationError, ScanError, PolytopeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

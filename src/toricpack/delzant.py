@@ -4,8 +4,11 @@ A Delzant polytope is simple (n facets at every vertex) and at each vertex
 the primitive edge directions form a Z-basis of the lattice, i.e. an
 integer matrix of determinant +-1.  Validation enriches a plain
 H-representation with the per-vertex frame data that the packing
-constructions consume.  The volume is Brion's sum over the vertex cones,
-:func:`_brion_volume`, which offset scans take for every sample too.
+constructions consume, each neighbour read off the incidence (across facet
+f, the one other vertex on the vertex's other facets); one constructor,
+:func:`_delzant`, assembles every :class:`DelzantPolytope`.
+The volume is Brion's sum over the vertex cones, :func:`_brion_volume`,
+which offset scans take for every sample too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .polytope import (
     PolytopeError,
     VertexData,
     _reduce,
+    _tight_columns,
     hpolytope,
 )
 
@@ -172,66 +176,74 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
     return _validate_reduced(*_reduce(P))
 
 
-def _validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
-    """:func:`validate_delzant` on a minimal H-representation whose vertex
-    data, edges included, is already known.
+def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
+    """:func:`validate_delzant` on a minimal H-representation with its
+    vertices and facet incidence, assembled by :func:`_delzant`.
 
-    The frame at a simple vertex comes from its cone, not from its edges.
-    Let N_I hold the active normals in facet order; n normals active at a
-    vertex are independent.  One fraction-free elimination of [N_I | 1]
-    gives det N_I and N_I^-1, and column k of N_I^-1 is the edge that
-    leaves facet I[k]: it is tight on the other active facets and has
-    slack 1 on I[k].  With primitive normals the vertex is Delzant exactly
-    when det N_I = +-1.  Let U hold the primitive
-    edge directions u_k as columns; then N_I U = diag(c) with positive
-    integers c.  If det U = +-1, N_I = diag(c) U^-1 has integral rows
-    divisible by the c_k, so primitivity forces c = 1 and det N_I = +-1.
-    Conversely an integral N_I^-1 = U diag(c)^-1 has integral columns
-    u_k / c_k, so c = 1 again and U = N_I^-1.  The neighbour j across the
-    edge along d_k lies on the other active facets, so v_j - v_i = t d_k
-    for the edge length t, which :func:`_edge_lengths` reads off one
-    nonzero coordinate of d_k.  Only a failing vertex computes the
-    determinant of its primitive edge directions, which its error message
-    reports.
+    A vertex on other than n facets is not simple.  At a simple vertex the
+    frame comes from its cone, not from its edges.  Let N_I hold the active
+    normals in facet order; n normals active at a vertex are independent.
+    One fraction-free elimination of [N_I | 1] gives det N_I and N_I^-1, and
+    column k of N_I^-1 is the edge that leaves facet I[k]: it is tight on
+    the other active facets and has slack 1 on I[k].  With primitive
+    normals the vertex is Delzant exactly when det N_I = +-1.  Let U hold
+    the primitive edge directions u_k as columns; then N_I U = diag(c) with
+    positive integers c.  If det U = +-1, N_I = diag(c) U^-1 has integral
+    rows divisible by the c_k, so primitivity forces c = 1 and
+    det N_I = +-1.  Conversely an integral N_I^-1 = U diag(c)^-1 has
+    integral columns u_k / c_k, so c = 1 again and U = N_I^-1.
+
+    The neighbour j across I[k] is the one other vertex on every facet of
+    I - {I[k]}: the AND of those facets' vertex bitmasks, started from all
+    vertices (so that n = 1 works).  Those n - 1 independent facets cut out
+    the edge along d_k, which leaves v_i into the polytope since v_i is on
+    no other facet, and any vertex on that face is one of the edge's two
+    ends.  So v_j - v_i = t d_k for the edge length t, which
+    :func:`_edge_lengths` reads off one nonzero coordinate of d_k.  Only a
+    failing vertex computes the determinant of its primitive edge
+    directions, which its error message reports.
     """
     n = reduced.dim
-    halfspaces = reduced.halfspaces
-    verts = vd.vertices
-    nverts = len(verts)
     unit = [[int(r == c) for c in range(n)] for r in range(n)]
+    on = _tight_columns([sum(1 << f for f in active) for active in incidence])
+    everyone = (1 << len(verts)) - 1
 
-    neighbors: dict[int, list[int]] = {i: [] for i in range(nverts)}
-    for i, j in vd.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
-    frames: list[VertexFrame] = []
-    for i in range(nverts):
-        active = vd.incidence[i]
-        if len(active) != n or len(neighbors[i]) != n:
+    dirs: list[tuple[IntVec, ...]] = []
+    neighbors: list[tuple[int, ...]] = []
+    for i, active in enumerate(incidence):
+        if len(active) != n:
             raise NotDelzantError(f"not simple at vertex {i}")
-        # Order the edges at the vertex by the facet they leave.
-        by_omitted: dict[int, int] = {}
-        for j in neighbors[i]:
-            omitted = set(active) - set(vd.incidence[j])
-            if len(omitted) != 1:
-                raise NotDelzantError(f"not simple at vertex {i}")
-            f = omitted.pop()
-            if f in by_omitted:
-                raise NotDelzantError(f"not simple at vertex {i}")
-            by_omitted[f] = j
-        order = [by_omitted[f] for f in active]
+        order = []
+        for f in active:
+            ends = everyone
+            for g in active:
+                if g != f:
+                    ends &= on[g]
+            order.append((ends ^ (1 << i)).bit_length() - 1)
         rows, _, det = bareiss(
-            [list(halfspaces[f].normal) + e for f, e in zip(active, unit)]
+            [list(reduced.halfspaces[f].normal) + e for f, e in zip(active, unit)]
         )
         if det not in (1, -1):
-            dirs = [primitive_direction(vec_sub(verts[j], verts[i]))[0] for j in order]
+            prim = [primitive_direction(vec_sub(verts[j], verts[i]))[0] for j in order]
             raise NotDelzantError(
-                f"not unimodular at vertex {i} (det = {mat_det(dirs)})"
+                f"not unimodular at vertex {i} (det = {mat_det(prim)})"
             )
-        dirs = tuple(tuple(det * row[n + k] for row in rows) for k in range(n))
-        frames.append(VertexFrame(dirs, _edge_lengths(verts, i, dirs, order), tuple(order)))
-    return DelzantPolytope(reduced, vd, tuple(frames))
+        dirs.append(tuple(tuple(det * row[n + k] for row in rows) for k in range(n)))
+        neighbors.append(tuple(order))
+    return _delzant(reduced, verts, incidence, dirs, neighbors)
+
+
+def _delzant(hrep: HPolytope, verts, incidence, dirs, neighbors) -> DelzantPolytope:
+    """The one constructor of a :class:`DelzantPolytope`, from its vertices,
+    their incidence and, per vertex, the frame directions and the neighbour
+    along each: edge lengths by :func:`_edge_lengths`, and the edge list the
+    sorted neighbour pairs (i, j), i < j."""
+    frames = tuple(
+        VertexFrame(d, _edge_lengths(verts, i, d, nb), nb)
+        for i, (d, nb) in enumerate(zip(dirs, neighbors))
+    )
+    edges = tuple((i, j) for i, nb in enumerate(neighbors) for j in sorted(nb) if i < j)
+    return DelzantPolytope(hrep, VertexData(verts, incidence, edges), frames)
 
 
 def _edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:

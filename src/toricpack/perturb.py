@@ -23,9 +23,9 @@ from fractions import Fraction
 from .delzant import (
     DelzantPolytope,
     NotDelzantError,
-    VertexFrame,
     _brion_terms,
     _brion_volume,
+    _delzant,
     _edge_lengths,
     _validate_reduced,
 )
@@ -45,7 +45,6 @@ from .packing import _maximal_rays, _ranked
 from .polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
-    VertexData,
     _reduce,
     hpolytope,
 )
@@ -74,11 +73,12 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     facets is v_I(s) = v_I + sum_{f in I} s^f d_f.  The offset is accepted
     exactly when every off-vertex slack of :func:`_moved` is positive, and
     D(s) is then the moved vertices in lexicographic order with the base's
-    incidence, edges and frame directions, renumbered; nothing is
-    enumerated and no frame is recomputed.  The moved neighbour across the
-    edge along d_f lies on the ray from v_I(s) along d_f (see below), so the
-    edge's lattice length is read off the moved vertices by
-    :func:`~toricpack.delzant._edge_lengths`, as in validation.
+    incidence, frame directions and neighbours (validation's, read off the
+    incidence), renumbered and assembled by
+    :func:`~toricpack.delzant._delzant` as in validation; nothing is
+    enumerated.  The moved neighbour across the edge along d_f lies on the
+    ray from v_I(s) along d_f (see below), so ``_delzant`` reads the edge's
+    lattice length off the moved vertices.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
     facets I, so it is a simple vertex of D(s).  Its edge along d_f keeps
@@ -99,24 +99,18 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         base.dim, [(h.normal, h.offset + si) for h, si in zip(base.hrep.halfspaces, sv)]
     )
     if all(x > 0 for x in slacks):
-        incidence = base.vdata.incidence
         order = sorted(range(len(moved)), key=moved.__getitem__)
         rank = {i: k for k, i in enumerate(order)}
-        edges = sorted(tuple(sorted((rank[i], rank[j]))) for i, j in base.vdata.edges)
-        vd = VertexData(
+        frames = [base.frames[i] for i in order]
+        return _delzant(
+            shifted,
             tuple(moved[i] for i in order),
-            tuple(incidence[i] for i in order),
-            tuple(edges),
+            tuple(base.vdata.incidence[i] for i in order),
+            [f.directions for f in frames],
+            [tuple(rank[j] for j in f.neighbor_indices) for f in frames],
         )
-        frames = []
-        for i in order:
-            f = base.frames[i]
-            lengths = _edge_lengths(moved, i, f.directions, f.neighbor_indices)
-            neighbors = tuple(rank[j] for j in f.neighbor_indices)
-            frames.append(VertexFrame(f.directions, lengths, neighbors))
-        return DelzantPolytope(shifted, vd, tuple(frames))
     try:
-        reduced, vd = _reduce(shifted)
+        reduced, verts, incidence = _reduce(shifted)
     except EmptyPolytopeError as exc:
         raise PerturbationError("empty", str(exc)) from exc
     except DegeneratePolytopeError as exc:
@@ -127,7 +121,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             f"{len(shifted.halfspaces) - len(reduced.halfspaces)} facet(s) became redundant",
         )
     try:
-        _validate_reduced(reduced, vd)
+        _validate_reduced(reduced, verts, incidence)
     except NotDelzantError as exc:
         raise PerturbationError("not Delzant", str(exc)) from exc
     raise PerturbationError("fan changed")

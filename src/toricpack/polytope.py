@@ -11,12 +11,12 @@ x0 = 0.  A polytope is enumerated once, and no halfspace is evaluated at a
 vertex afterwards: double description tracks each ray's tight set exactly,
 so the vertex-facet incidence is its masks, and reduction to the minimal
 H-representation keeps the rows whose tight vertex sets are maximal, then
-hands the vertex set on to the incidence and edge data of the result.
+hands the vertex set on to the incidence of the result.
 Every double description, of a polytope or of the packing down-closure,
 goes through :func:`_cone_rays`, which alone fixes the row insertion order.
 
 Adjacency is decided on bits, by one test shared by double description and
-the edges from vertex-facet incidence.  Tight sets are bitmasks over rows;
+the edges of :func:`enumerate_vertices`.  Tight sets are bitmasks over rows;
 their transpose holds, per row, the bitmask of the positions tight on it.
 Two positions are adjacent exactly when the AND of the transposed masks of
 their common rows, started from the mask of all live positions, leaves only
@@ -408,9 +408,10 @@ def _edges_from_masks(n: int, masks: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
-    """Minimal H-representation of P and its vertex data, edges included,
-    from one enumeration of P.
+def _reduce(P: HPolytope) -> tuple[HPolytope, tuple[Vec, ...], tuple[tuple[int, ...], ...]]:
+    """Minimal H-representation of P, its sorted vertices and their facet
+    incidence, from one enumeration of P; no edge is computed, since
+    validation reads each neighbour off the incidence (``delzant._delzant``).
 
     Double description hands on each vertex's tight set.  A halfspace is
     kept when its tight vertex set is nonempty and lies strictly inside no
@@ -442,9 +443,8 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, VertexData]:
         seen.add(c)
         kept[i] = len(kept)
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
-    masks = [sum(1 << kept[i] for i in _bits(m) if i in kept) for m in masks]
-    edges = _edges_from_masks(P.dim, masks)
-    return reduced, VertexData(verts, tuple(map(_bits, masks)), tuple(edges))
+    incidence = tuple(tuple(kept[i] for i in _bits(m) if i in kept) for m in masks)
+    return reduced, verts, incidence
 
 
 def remove_redundant(P: HPolytope) -> HPolytope:

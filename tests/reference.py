@@ -18,14 +18,15 @@ Brion's formula; :func:`reference_volume` triangulates any bounded
 polytope by recursive facet subdivision instead, and is the oracle for it.
 
 The library reads vertex-facet incidence from double description's tight
-sets, keeps the rows with maximal tight sets as the facets, and reads each
-vertex frame from the inverse of the active normals.  The routes they
-replaced are kept here as their oracles: :func:`reference_incidence`
-evaluates every halfspace at every vertex, :func:`reference_remove_redundant`
-keeps the rows whose tight vertices have affine rank dim - 1, and
-:func:`reference_validate_reduced` builds every frame from primitive
-vertex differences and their determinant.  :func:`solve_linear` serves the
-active-set search.
+sets, keeps the rows with maximal tight sets as the facets, reads each
+vertex frame from the inverse of the active normals and each neighbour
+off the incidence.  The routes they replaced are kept here as their
+oracles: :func:`reference_incidence` evaluates every halfspace at every
+vertex, :func:`reference_remove_redundant` keeps the rows whose tight
+vertices have affine rank dim - 1, and :func:`reference_validate_reduced`
+takes the edges of :func:`brute_force_edges` and builds every frame from
+primitive vertex differences along them and their determinant.
+:func:`solve_linear` serves the active-set search.
 
 The library's double description starts from the whole space and pivots
 its lineality away, one independent row at a time.  The start it replaced
@@ -289,7 +290,7 @@ def reference_perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         raise ValueError("offset vector length must match the facet count")
     raw = shifted(base, sv)
     try:
-        reduced, vd = _reduce(raw)
+        reduced, verts, incidence = _reduce(raw)
     except EmptyPolytopeError as exc:
         raise PerturbationError("empty", str(exc)) from exc
     except DegeneratePolytopeError as exc:
@@ -300,7 +301,7 @@ def reference_perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             f"{len(raw.halfspaces) - len(reduced.halfspaces)} facet(s) became redundant",
         )
     try:
-        D = _validate_reduced(reduced, vd)
+        D = _validate_reduced(reduced, verts, incidence)
     except NotDelzantError as exc:
         raise PerturbationError("not Delzant", str(exc)) from exc
     if not same_fan(D, base):
@@ -404,12 +405,14 @@ def reference_remove_redundant(P: HPolytope) -> HPolytope:
     return HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
 
 
-def reference_validate_reduced(reduced: HPolytope, vd: VertexData) -> DelzantPolytope:
-    """Delzant validation with every frame built from the primitive
-    directions of the vertex differences along its edges, and the
+def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
+    """Delzant validation with the edges from the rank test,
+    :func:`brute_force_edges`, and every frame built from the primitive
+    directions of the vertex differences along its edges, with the
     unimodularity test on their determinant."""
     n = reduced.dim
-    nverts = len(vd.vertices)
+    vd = VertexData(verts, incidence, brute_force_edges(reduced, verts, incidence))
+    nverts = len(verts)
 
     neighbors: dict[int, list[int]] = {i: [] for i in range(nverts)}
     for i, j in vd.edges:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricpack import cli
+from toricpack import cli, jsonio
 from toricpack.cli import main
 
 F = Fraction
@@ -311,6 +311,25 @@ class TestPack:
         assert run(capsys, "pack", str(spec), "--render", str(svg)) == refused
         assert refused == (2, "", "error: SVG rendering needs a planar polytope\n")
         assert calls == [] and not svg.exists()
+
+    def test_text_builds_no_packing_polytope(self, square_spec, capsys, monkeypatch):
+        # Text mode prints the density and the maximizers only; the packing
+        # polytope is built for the JSON report alone.
+        calls = []
+        original = jsonio.build_packing_polytope
+
+        def counted(D):
+            calls.append(D)
+            return original(D)
+
+        monkeypatch.setattr(jsonio, "build_packing_polytope", counted)
+        assert run(capsys, "pack", str(square_spec)) == (
+            0, "square: max density 1 (2 maximal packing(s))\n  0 1 1 0\n", ""
+        )
+        assert run(capsys, "pack", str(square_spec), "--all")[0] == 0
+        assert calls == []
+        assert run(capsys, "pack", str(square_spec), "--json")[0] == 0
+        assert len(calls) == 1
 
     def test_deterministic_output(self, square_spec, capsys):
         _, out1, _ = run(capsys, "pack", str(square_spec), "--all", "--json")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from reference import reference_validate_reduced, reference_volume, same_fan
+from reference import brute_force_edges, reference_validate_reduced, reference_volume, same_fan
 from test_packing import BASES as OFFSET_BASES
 from test_packing import admissible_offsets
 
@@ -27,6 +27,24 @@ from toricpack.polytope import _reduce, hpolytope
 F = Fraction
 
 PENTAGON = make_chopped_simplex(F(1, 10), F(1, 10))
+
+# The square pyramid z >= 0, +-x + z <= 1, +-y + z <= 1, its apex in the
+# middle of the lexicographic vertex order; and the same pyramid with
+# normals (+-2, 0, -1), (0, +-2, -1) and offsets -2, apex (0, 0, 2).
+SQUARE_PYRAMID = [
+    ((0, 0, 1), 0),
+    ((-1, 0, -1), -1),
+    ((1, 0, -1), -1),
+    ((0, -1, -1), -1),
+    ((0, 1, -1), -1),
+]
+SQUARE_PYRAMID_DET_2 = [
+    ((0, 0, 1), 0),
+    ((-2, 0, -1), -2),
+    ((2, 0, -1), -2),
+    ((0, -2, -1), -2),
+    ((0, 2, -1), -2),
+]
 
 
 class TestValidation:
@@ -101,6 +119,22 @@ class TestValidation:
         with pytest.raises(NotDelzantError, match=r"^not unimodular at vertex 0 \(det = 2\)$"):
             validate_delzant(quad)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Vertices (-1, -1, 0), (-1, 1, 0), apex (0, 0, 1), ...: two
+            # simple vertices come before the apex on four facets.
+            (SQUARE_PYRAMID, "not simple at vertex 2"),
+            # Vertex 0 fails first; its edge to the apex (0, 0, 2) has the
+            # primitive direction (1, 1, 2).
+            (SQUARE_PYRAMID_DET_2, "not unimodular at vertex 0 (det = 2)"),
+        ],
+        ids=["apex pyramid", "apex pyramid det 2"],
+    )
+    def test_apex_pyramid(self, rows, message):
+        with pytest.raises(NotDelzantError, match=f"^{re.escape(message)}$"):
+            validate_delzant(hpolytope(3, rows))
+
     def test_validation_idempotent_on_reduced(self, pentagon):
         again = validate_delzant(pentagon.hrep)
         assert again.hrep == pentagon.hrep
@@ -108,11 +142,15 @@ class TestValidation:
 
 
 def assert_frames_match_reference(D):
-    """Frames from the inverse of the active normals equal the frames from
-    primitive vertex differences."""
+    """Frames from the inverse of the active normals, with neighbours read
+    off the incidence, equal the frames from primitive vertex differences
+    along the edges of the rank test; and the edge list derived from the
+    frames is the rank test's."""
     again = validate_delzant(D.hrep)
     expected = reference_validate_reduced(*_reduce(D.hrep))
     assert again.frames == expected.frames == D.frames
+    assert D.vdata.edges == brute_force_edges(D.hrep, D.vertices, D.vdata.incidence)
+    assert again.vdata == expected.vdata == D.vdata
     assert again.corner_radii == expected.corner_radii
 
 
@@ -145,8 +183,11 @@ class TestFramesMatchReference:
             [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, 0, 1), 0), ((0, -1, 1), 0), ((0, 0, -1), -1)],
             [(signs, -1) for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
                                        (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))],
+            SQUARE_PYRAMID,
+            SQUARE_PYRAMID_DET_2,
         ],
-        ids=["quad", "triangle", "simplex3", "pyramid", "octahedron"],
+        ids=["quad", "triangle", "simplex3", "pyramid", "octahedron", "apex pyramid",
+             "apex pyramid det 2"],
     )
     def test_same_failure(self, rows):
         P = hpolytope(len(rows[0][0]), rows)

@@ -30,6 +30,8 @@ COMMANDS = {
     "validate": ("validate", "{spec}", "--json"),
     "info": ("info", "{spec}", "--safe-radius"),
     "pack": ("pack", "{spec}", "--all", "--json"),
+    "pack text": ("pack", "{spec}"),
+    "pack text --all": ("pack", "{spec}", "--all"),
 }
 
 GOLDEN = {
@@ -59,6 +61,25 @@ GOLDEN = {
     # 80 maximizers; this digest was computed by ranking every vertex of
     # the packing polytope, not only the blocked ones.
     ("chopped5", "pack"): "68cc7c71cc1cb9dd9a755b942a882ade801470928561cc0594c846df5f278107",
+    # Text mode prints the density and the first or every maximizer.
+    ("square", "pack text"): "4e5f0a689170d13f08d95aa62331dc95db7f1bee95cbc764bbaaeee15867e417",
+    ("square", "pack text --all"): "22c5eda50b0da9a72f0dd64dd241cf7953082803843af4c125d4c3a65a5bc0f1",
+    ("pentagon", "pack text"): "06078548d593c9f454e7fd3ea941398d5b08d0731353945747874ce085919ba2",
+    ("pentagon", "pack text --all"): "06078548d593c9f454e7fd3ea941398d5b08d0731353945747874ce085919ba2",
+    ("prism", "pack text"): "5ea3baffe7cc2c3a9acaeeb3cd894451d78438a36bafedb76b94959b022d310d",
+    ("prism", "pack text --all"): "d9d7ee3eb13d7c0889568e0e6d49542feee99d22031fd3a72780565f90e3582b",
+    ("cube3", "pack text"): "9ff42dcce105f9055333f28cd561400791cb12c5edc736dce166b28c9ca1dc4e",
+    ("cube3", "pack text --all"): "331ca35b05aff7229073e205633bb830103f74bb76428dc898f2e6e2cb341e1e",
+    ("chopped3", "pack text"): "35f401c6726e713f52aea2ceb4635e2d74e66545b124143d2edd2e8fb7a70684",
+    ("chopped3", "pack text --all"): "91ba19181070aa5e2222a3732773c15e6a81630d1cf4bea274fc502caf54c421",
+    ("cube4", "pack text"): "2ab8d12c8a9669b00f26a545f47d75ece4f92597f9f23289822fac65e8fb6456",
+    ("cube4", "pack text --all"): "2bdda79747aeb717f73b9c5b70c2456d9b5dc572035a01cad4e1b9413b2b6579",
+    ("simplex2xsquare", "pack text"): "2b9d85c5fdf7909b0a8806b466993a61ec7bb227dd3fe6c13c43b0aff886e86c",
+    ("simplex2xsquare", "pack text --all"): "c26d303153a800a544108493ba328eeb3123aeb18d6f3e46bc4caf75020c084b",
+    ("chopped4", "pack text"): "b99dcfa82bd4f2599e9489f2f7da6dded75d74309284877bfb3c0fd2abf0cc0f",
+    ("chopped4", "pack text --all"): "76a48672cb16bffeaa54433139975ea2810b8dc53ab20e35430d52479f024d73",
+    ("chopped5", "pack text"): "35869ca9ddf39816d0fd66bdacbe5b49846ebe072bcebb8b51e49a4ca164cf66",
+    ("chopped5", "pack text --all"): "f23a70e82744d78445ef100056e806ebf9a020b638bef7e0495487b3f2756af7",
 }
 
 # The segment of the chopped 3-simplex that the benchmark's ``family``

@@ -212,9 +212,9 @@ class TestFramesReused:
         seen = []
         original = module._validate_reduced
 
-        def counted(reduced, vd):
+        def counted(reduced, verts, incidence):
             seen.append(reduced)
-            return original(reduced, vd)
+            return original(reduced, verts, incidence)
 
         monkeypatch.setattr(module, "_validate_reduced", counted)
         return seen
