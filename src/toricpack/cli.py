@@ -88,9 +88,8 @@ def _maximize(D, svg: str | None):
     max_density, packings = maximize(D)
     if svg is None:
         return max_density, packings
-    vd = D.vdata
-    order = boundary_order(vd.vertices, vd.edges)
-    polygon = [vd.vertices[i] for i in order]
+    order = boundary_order([f.neighbor_indices for f in D.frames])
+    polygon = [D.vertices[i] for i in order]
     labels = [f"r={format_rat(D.corner_radii[i])}" for i in order]
     hulls = [
         sorted([s.center] + [vec_add(s.center, vec_scale(s.radius, d)) for d in s.frame_columns])

@@ -32,7 +32,6 @@ from .linalg import (
 from .polytope import (
     HPolytope,
     PolytopeError,
-    VertexData,
     _reduce,
     _tight_columns,
     hpolytope,
@@ -61,12 +60,13 @@ class VertexFrame:
 @dataclass(frozen=True)
 class DelzantPolytope:
     """A validated Delzant polytope: its minimal H-representation, its
-    vertex data and its vertex frames.  Everything else is derived from
-    these on first use and cached.
+    vertices in lexicographic order, their sorted active facets and its
+    vertex frames.  All else, edges included, is derived on first use and cached.
     """
 
     hrep: HPolytope
-    vdata: VertexData
+    vertices: tuple[Vec, ...]
+    incidence: tuple[tuple[int, ...], ...]
     frames: tuple[VertexFrame, ...]
 
     @property
@@ -74,12 +74,15 @@ class DelzantPolytope:
         return self.hrep.dim
 
     @property
-    def vertices(self) -> tuple[Vec, ...]:
-        return self.vdata.vertices
-
-    @property
     def num_vertices(self) -> int:
-        return len(self.vdata.vertices)
+        return len(self.vertices)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges: the sorted neighbour pairs (i, j), i < j, of the frames."""
+        return tuple(
+            (i, j) for i, f in enumerate(self.frames) for j in sorted(f.neighbor_indices) if i < j
+        )
 
     @cached_property
     def corner_radii(self) -> tuple[Fraction, ...]:
@@ -114,7 +117,7 @@ class DelzantPolytope:
                 for j, h in enumerate(self.hrep.halfspaces)
                 if j not in active
             )
-            for v, active, frame in zip(self.vertices, self.vdata.incidence, self.frames)
+            for v, active, frame in zip(self.vertices, self.incidence, self.frames)
         )
 
     @cached_property
@@ -236,14 +239,12 @@ def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
 def _delzant(hrep: HPolytope, verts, incidence, dirs, neighbors) -> DelzantPolytope:
     """The one constructor of a :class:`DelzantPolytope`, from its vertices,
     their incidence and, per vertex, the frame directions and the neighbour
-    along each: edge lengths by :func:`_edge_lengths`, and the edge list the
-    sorted neighbour pairs (i, j), i < j."""
+    along each, with the edge lengths by :func:`_edge_lengths`."""
     frames = tuple(
         VertexFrame(d, _edge_lengths(verts, i, d, nb), nb)
         for i, (d, nb) in enumerate(zip(dirs, neighbors))
     )
-    edges = tuple((i, j) for i, nb in enumerate(neighbors) for j in sorted(nb) if i < j)
-    return DelzantPolytope(hrep, VertexData(verts, incidence, edges), frames)
+    return DelzantPolytope(hrep, verts, incidence, frames)
 
 
 def _edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:

@@ -218,7 +218,7 @@ def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
     pairwise bounds, and the fan rays (the facet normals)."""
     edges = [
         {"vertices": [i, j], "length": format_rat(D.pair_bounds[i][j])}
-        for i, j in D.vdata.edges
+        for i, j in D.edges
     ]
     doc: dict[str, Any] = {}
     if name:
@@ -231,7 +231,7 @@ def info_report(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:
             "volume": format_rat(D.euclidean_volume),
             "halfspaces": hrep_to_json(D.hrep)["halfspaces"],
             "vertices": [[format_rat(c) for c in v] for v in D.vertices],
-            "vertex_facet_incidence": [list(s) for s in D.vdata.incidence],
+            "vertex_facet_incidence": [list(s) for s in D.incidence],
             "edges": edges,
             "frames": [
                 {

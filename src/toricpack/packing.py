@@ -197,7 +197,7 @@ def admissible_simplex(D: DelzantPolytope, i: int, radius) -> AdmissibleSimplex:
         raise ValueError(
             f"radius {r} outside [0, {D.corner_radii[i]}] at vertex {i}"
         )
-    active = [D.hrep.halfspaces[f] for f in D.vdata.incidence[i]]
+    active = [D.hrep.halfspaces[f] for f in D.incidence[i]]
     n = D.dim
     outer = tuple(-sum(h.normal[c] for h in active) for c in range(n))
     rows = active + [HalfSpace(outer, -sum(h.offset for h in active) - r)]

@@ -105,7 +105,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         return _delzant(
             shifted,
             tuple(moved[i] for i in order),
-            tuple(base.vdata.incidence[i] for i in order),
+            tuple(base.incidence[i] for i in order),
             [f.directions for f in frames],
             [tuple(rank[j] for j in f.neighbor_indices) for f in frames],
         )
@@ -140,7 +140,7 @@ def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
     moved: list[Vec] = []
     slacks: list[Fraction] = []
     for v, active, frame, forms in zip(
-        base.vertices, base.vdata.incidence, base.frames, base._slack_forms
+        base.vertices, base.incidence, base.frames, base._slack_forms
     ):
         s_I = [sv[f] for f in active]
         moved.append(tuple(
@@ -290,8 +290,9 @@ def scan_segment(
       down-closure is also cut out by the fixed rows x_i <= l_e for each
       edge e at i and x_i + x_j <= l_ij for each edge (r_i is the least
       l_e at i, and a pair row with l_ij >= r_i + r_j is implied), and each
-      right-hand side is affine in t.  Each vertex is keyed by its tight set on these rows
-      as soon as double description returns it.  Distinct vertices have
+      right-hand side is affine in t.  At a sample whose keys are compared,
+      each vertex is keyed by its tight set on these rows as soon as double
+      description returns it.  Distinct vertices have
       distinct tight sets, since a vertex is the only solution of its
       tight rows, so equal key sets mean equal vertex counts.
     - Equal families of tight sets at samples t_a < t_b give, at every t
@@ -357,13 +358,16 @@ def scan_segment(
     keyed: dict[int, dict[int, IntVec]] = {}
     ranked: dict[int, tuple[Fraction, list[IntVec]]] = {}
 
-    def run_dd(k: int) -> None:
-        """Double description at sample k: its rays ranked, and keyed by
-        their tight sets on the fixed rows, per edge slot (i, j)
-        x_i <= l_ij and x_i + x_j <= l_ij."""
+    def run_dd(k: int, key: bool) -> None:
+        """Double description at sample k: its rays ranked and, when
+        ``key`` is set, keyed by their tight sets on the fixed rows, per
+        edge slot (i, j) x_i <= l_ij and x_i + x_j <= l_ij.  Only the ends
+        of a gap of at least 2 are compared, so only those need keys."""
         num, q = lengths(k)
         rays = _maximal_rays(frames, num, q)
         ranked[k] = _ranked(rays, n)
+        if not key:
+            return
         keyed[k] = {}
         for ray in rays:
             x0 = ray[0]
@@ -382,7 +386,7 @@ def scan_segment(
             return
         if keyed[a].keys() != keyed[b].keys():
             m = (a + b) // 2
-            run_dd(m)
+            run_dd(m, b - a > 2)
             fill(a, m)
             fill(m, b)
             return
@@ -397,8 +401,8 @@ def scan_segment(
                 n,
             )
 
-    run_dd(0)
-    run_dd(N)
+    run_dd(0, N > 1)
+    run_dd(N, N > 1)
     fill(0, N)
 
     ts = [Fraction(k, N) for k in range(N + 1)]

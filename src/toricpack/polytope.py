@@ -110,7 +110,7 @@ def hpolytope(dim: int, rows) -> HPolytope:
 
 @dataclass(frozen=True)
 class VertexData:
-    """Vertices in lexicographic order with facet incidence and edges.
+    """What :func:`enumerate_vertices` returns, simple input or not.
 
     ``incidence[k]`` is the sorted tuple of facet indices active at vertex k;
     ``edges`` lists index pairs (i, j), i < j, whose common active set has

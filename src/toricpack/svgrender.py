@@ -64,17 +64,12 @@ def render_packing_svg(
     return "\n".join(parts) + "\n"
 
 
-def boundary_order(vertices, edges) -> list[int]:
-    """Order polygon vertex indices along the boundary cycle."""
-    adjacency: dict[int, list[int]] = {}
-    for i, j in edges:
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
-    start = 0
-    order = [start]
-    prev = None
-    while len(order) < len(vertices):
-        nxts = [k for k in adjacency[order[-1]] if k != prev]
-        prev = order[-1]
-        order.append(nxts[0])
+def boundary_order(neighbors) -> list[int]:
+    """Polygon vertex indices along the boundary cycle, given the two
+    neighbours of each vertex: from vertex 0 to its smaller neighbour, then
+    at each vertex on to the neighbour it was not reached from."""
+    order = [0, min(neighbors[0])]
+    while len(order) < len(neighbors):
+        a, b = neighbors[order[-1]]
+        order.append(b if a == order[-2] else a)
     return order

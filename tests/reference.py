@@ -9,9 +9,9 @@ library; both use its exact elimination in ``linalg``, which
 ``test_linalg`` checks against the cofactor and Leibniz formulas.
 
 The library builds an admissible perturbation from the base's vertex
-cones, frames included; :func:`reference_perturb` enumerates and validates
-the shifted H-representation instead and compares fans, and is the oracle
-for it.
+cones, frames included; :func:`reference_perturb` enumerates the shifted
+H-representation instead, validates it by :func:`reference_validate_reduced`
+and compares fans, and is the oracle for it.
 
 The library takes a Delzant polytope's volume from its vertex cones by
 Brion's formula; :func:`reference_volume` triangulates any bounded
@@ -60,7 +60,6 @@ from toricpack.delzant import (
     DelzantPolytope,
     NotDelzantError,
     VertexFrame,
-    _validate_reduced,
     validate_delzant,
 )
 from toricpack.linalg import (
@@ -93,7 +92,6 @@ from toricpack.polytope import (
     HPolytope,
     PolytopeError,
     UnboundedPolytopeError,
-    VertexData,
     _cone_rays,
     _homogenized_rows,
     _insertion_order,
@@ -268,9 +266,7 @@ def same_fan(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
         return False
     if any(a.normal != b.normal for a, b in zip(h1, h2)):
         return False
-    return {frozenset(s) for s in D1.vdata.incidence} == {
-        frozenset(s) for s in D2.vdata.incidence
-    }
+    return {frozenset(s) for s in D1.incidence} == {frozenset(s) for s in D2.incidence}
 
 
 def shifted(base: DelzantPolytope, s) -> HPolytope:
@@ -283,7 +279,8 @@ def shifted(base: DelzantPolytope, s) -> HPolytope:
 
 def reference_perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     """The polytope with offsets lambda_i + s^i by enumeration: reduce the
-    shifted H-representation, validate it, and compare its fan with the
+    shifted H-representation, validate it with the rank-test edges of
+    :func:`reference_validate_reduced`, and compare its fan with the
     base's.  The first failure raises :class:`PerturbationError`."""
     sv = as_vec(s)
     if len(sv) != base.hrep.num_facets:
@@ -301,7 +298,7 @@ def reference_perturb(base: DelzantPolytope, s) -> DelzantPolytope:
             f"{len(raw.halfspaces) - len(reduced.halfspaces)} facet(s) became redundant",
         )
     try:
-        D = _validate_reduced(reduced, verts, incidence)
+        D = reference_validate_reduced(reduced, verts, incidence)
     except NotDelzantError as exc:
         raise PerturbationError("not Delzant", str(exc)) from exc
     if not same_fan(D, base):
@@ -320,7 +317,7 @@ def vertex_affinity_holds(base: DelzantPolytope, s1, s2, t) -> bool:
     def by_active(s) -> dict:
         D = validate_delzant(shifted(base, as_vec(s)))
         assert D.hrep.num_facets == base.hrep.num_facets
-        return {frozenset(inc): v for v, inc in zip(D.vertices, D.vdata.incidence)}
+        return {frozenset(inc): v for v, inc in zip(D.vertices, D.incidence)}
 
     m1, m2, mid = by_active(s1), by_active(s2), by_active(mid_s)
     return all(
@@ -329,14 +326,13 @@ def vertex_affinity_holds(base: DelzantPolytope, s1, s2, t) -> bool:
     )
 
 
-def reference_volume(P: HPolytope, vd: VertexData | None = None) -> Fraction:
+def reference_volume(P: HPolytope) -> Fraction:
     """Exact Euclidean volume.
 
     Anchors at the lexicographically smallest vertex, triangulates every
     facet not containing it recursively, and sums |det| / n! per simplex.
     """
-    if vd is None:
-        vd = enumerate_vertices(P)
+    vd = enumerate_vertices(P)
     n = P.dim
     verts = vd.vertices
     if affine_rank(verts) < n:
@@ -411,23 +407,22 @@ def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantP
     directions of the vertex differences along its edges, with the
     unimodularity test on their determinant."""
     n = reduced.dim
-    vd = VertexData(verts, incidence, brute_force_edges(reduced, verts, incidence))
     nverts = len(verts)
 
     neighbors: dict[int, list[int]] = {i: [] for i in range(nverts)}
-    for i, j in vd.edges:
+    for i, j in brute_force_edges(reduced, verts, incidence):
         neighbors[i].append(j)
         neighbors[j].append(i)
 
     frames: list[VertexFrame] = []
     for i in range(nverts):
-        active = vd.incidence[i]
+        active = incidence[i]
         if len(active) != n or len(neighbors[i]) != n:
             raise NotDelzantError(f"not simple at vertex {i}")
         # Order the edges at the vertex by the facet they leave.
         by_omitted: dict[int, int] = {}
         for j in neighbors[i]:
-            omitted = set(active) - set(vd.incidence[j])
+            omitted = set(active) - set(incidence[j])
             if len(omitted) != 1:
                 raise NotDelzantError(f"not simple at vertex {i}")
             f = omitted.pop()
@@ -438,7 +433,7 @@ def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantP
         dirs = []
         lens = []
         for j in order:
-            u, t = primitive_direction(vec_sub(vd.vertices[j], vd.vertices[i]))
+            u, t = primitive_direction(vec_sub(verts[j], verts[i]))
             dirs.append(u)
             lens.append(t)
         det = mat_det(dirs)
@@ -447,7 +442,7 @@ def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantP
                 f"not unimodular at vertex {i} (det = {det})"
             )
         frames.append(VertexFrame(tuple(dirs), tuple(lens), tuple(order)))
-    return DelzantPolytope(reduced, vd, tuple(frames))
+    return DelzantPolytope(reduced, verts, incidence, tuple(frames))
 
 
 def reference_scan_segment(
@@ -520,7 +515,7 @@ def reference_binding_edges(D: DelzantPolytope) -> list:
     """The edges (i, j, l_ij) with l_ij < r_i + r_j, filtered from the
     edge list through the full pair-bound matrix, in lexicographic order."""
     r, b = D.corner_radii, D.pair_bounds
-    return [(i, j, b[i][j]) for i, j in D.vdata.edges if b[i][j] < r[i] + r[j]]
+    return [(i, j, b[i][j]) for i, j in D.edges if b[i][j] < r[i] + r[j]]
 
 
 def reference_packing_rows(V: int, bounds, radii=None) -> HPolytope:

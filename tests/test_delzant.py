@@ -104,7 +104,7 @@ class TestValidation:
             make_product(pentagon, make_simplex(1)),
         ):
             n = D.dim
-            for inc, frame in zip(D.vdata.incidence, D.frames):
+            for inc, frame in zip(D.incidence, D.frames):
                 normals = [D.hrep.halfspaces[f].normal for f in inc]
                 product = [
                     [sum(u[c] * d[c] for c in range(n)) for d in frame.directions]
@@ -149,8 +149,12 @@ def assert_frames_match_reference(D):
     again = validate_delzant(D.hrep)
     expected = reference_validate_reduced(*_reduce(D.hrep))
     assert again.frames == expected.frames == D.frames
-    assert D.vdata.edges == brute_force_edges(D.hrep, D.vertices, D.vdata.incidence)
-    assert again.vdata == expected.vdata == D.vdata
+    assert D.edges == brute_force_edges(D.hrep, D.vertices, D.incidence)
+    assert (
+        (again.vertices, again.incidence, again.edges)
+        == (expected.vertices, expected.incidence, expected.edges)
+        == (D.vertices, D.incidence, D.edges)
+    )
     assert again.corner_radii == expected.corner_radii
 
 
@@ -236,7 +240,7 @@ class TestCornerRadius:
 class TestPairBounds:
     def test_symmetric_and_edge_exact(self, square, pentagon, prism):
         for D in (square, pentagon, prism):
-            edges = {frozenset(e) for e in D.vdata.edges}
+            edges = {frozenset(e) for e in D.edges}
             V = D.num_vertices
             for i in range(V):
                 for j in range(V):
@@ -366,4 +370,4 @@ class TestBrionVolume:
             for _ in range(4)
         ]
         for D in members:
-            assert D.euclidean_volume == reference_volume(D.hrep, D.vdata)
+            assert D.euclidean_volume == reference_volume(D.hrep)

@@ -24,6 +24,8 @@ SPECS = {
     "simplex2xsquare": ("product", "simplex:2:1", "cube:2"),
     "chopped4": ("chopped_simplex", "1/10", "1/5", "4"),
     "chopped5": ("chopped_simplex", "1/10", "1/5", "5"),
+    "simplex2": ("simplex", "2"),
+    "pentagon20": ("chopped_simplex", "1/20", "1/20"),
 }
 
 COMMANDS = {
@@ -53,6 +55,10 @@ GOLDEN = {
     ("square", "scan"): "4ed3f4df49884b9defca372775793e9feebd881ddeadc08218bcdae6393bf581",
     ("chopped3", "scan"): "4cb82d1840679ab55fc75429f484b47232f7f4dcd7909ed6f3f2de0b6704176d",
     ("pentagon", "render"): "8fc1b6d71dfbeb4f4462e2f53f733f30fdf87ad0cbdb36f7bd5529bfb3d5ed58",
+    # The outline starts at vertex 0 and goes on to its smaller neighbour.
+    ("square", "render"): "769e37b30da4afc5341a7ae706c16458fd5165f5eb909967f862223854a21ffb",
+    ("simplex2", "render"): "a2b1da37314a2f7075c93b8dd5044d0021c6277b06a06b76b192a76c26f93dee",
+    ("pentagon20", "render"): "4f60afde1f344ae638edab40a1a6fb2ba4507b6d82b5f32dc68f1da672e4e7ec",
     # Packing polytopes of 743, 1816 and 1400 vertices, of which maximize
     # enumerates the 42, 31 and 115 blocked ones.
     ("cube4", "pack"): "f8dd95ffd087149118653cc2905421fe2cd55be80650e4937fd15d2e0495d3b3",
@@ -122,11 +128,12 @@ def test_chopped3_scan(spec_dir, capsys):
     assert run_digest(capsys, argv) == GOLDEN["chopped3", "scan"]
 
 
-def test_pentagon_render(spec_dir, capsys):
+@pytest.mark.parametrize("spec", [k[0] for k in GOLDEN if k[1] == "render"])
+def test_render(spec_dir, capsys, spec):
     # The digest covers stdout, stderr and the SVG file, in that order.
-    svg = spec_dir / "pentagon.svg"
-    code = main(["render", str(spec_dir / "pentagon.json"), str(svg)])
+    svg = spec_dir / f"{spec}.svg"
+    code = main(["render", str(spec_dir / f"{spec}.json"), str(svg)])
     assert code == 0
     captured = capsys.readouterr()
     digest = hashlib.sha256((captured.out + captured.err + svg.read_text()).encode())
-    assert digest.hexdigest() == GOLDEN["pentagon", "render"]
+    assert digest.hexdigest() == GOLDEN[spec, "render"]

@@ -70,7 +70,7 @@ def blocked_vertices(D):
     """The vertices of the packing polytope at which no radius can grow
     alone: every x_i equals the least l_ij - x_j over the edges (i, j)."""
     around = {i: [] for i in range(D.num_vertices)}
-    for i, j in D.vdata.edges:
+    for i, j in D.edges:
         around[i].append(j)
         around[j].append(i)
     return [
@@ -150,7 +150,7 @@ class TestMaximize:
             (F(1), F(0), F(0), F(1)),
         ]
         # Each maximizer is supported on a nonadjacent (diagonal) pair.
-        edges = {frozenset(e) for e in square.vdata.edges}
+        edges = {frozenset(e) for e in square.edges}
         for p in packs:
             support = frozenset(i for i, c in enumerate(p.radii) if c > 0)
             assert len(support) == 2 and support not in edges
