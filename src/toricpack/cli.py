@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 domain validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .jsonio import (
@@ -18,6 +17,7 @@ from .jsonio import (
     info_report,
     load_spec_file,
     pack_report,
+    read_json_file,
     scan_csv,
     scan_summary,
     spec_file_document,
@@ -118,8 +118,7 @@ def cmd_pack(args) -> int:
 
 def cmd_scan(args) -> int:
     _, D = load_spec_file(args.base)
-    with open(args.dir, "r", encoding="utf-8") as fh:
-        s1, s2 = direction_from_json(json.load(fh))
+    s1, s2 = direction_from_json(read_json_file(args.dir))
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     res = scan_segment(D, s1, s2, args.samples)
@@ -203,7 +202,7 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, SpecFileError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, SpecFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ValueError as exc:

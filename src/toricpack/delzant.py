@@ -2,11 +2,11 @@
 
 A Delzant polytope is simple (n facets at every vertex) and at each vertex
 the primitive edge directions form a Z-basis of the lattice, i.e. an
-integer matrix of determinant +-1.  Validation enriches a plain
-H-representation with the per-vertex frame data that the packing
-constructions consume, each neighbour read off the incidence (across facet
-f, the one other vertex on the vertex's other facets); one constructor,
-:func:`_delzant`, assembles every :class:`DelzantPolytope`.
+integer matrix of determinant +-1.  Validation is that per-cone test: it
+stores each vertex cone's directions beside a plain H-representation.  The
+vertex frames that the packing constructions consume are derived from them
+on first use, each neighbour read off the incidence (across facet f, the
+one other vertex on the vertex's other facets).
 The volume is Brion's sum over the vertex cones, :func:`_brion_volume`,
 which offset scans take for every sample too.
 """
@@ -24,6 +24,7 @@ from .linalg import (
     bareiss,
     common_denominator,
     dot,
+    gcd_primitive,
     mat_det,
     primitive_direction,
     rat,
@@ -33,6 +34,7 @@ from .polytope import (
     HPolytope,
     PolytopeError,
     _reduce,
+    _third_positions,
     _tight_columns,
     hpolytope,
 )
@@ -46,7 +48,7 @@ class NotDelzantError(PolytopeError):
 class VertexFrame:
     """Edge data at one vertex: primitive directions u^j, rational lengths
     t^j, and the neighbor vertex reached along each edge.  A frame's vertex
-    is its position in :attr:`DelzantPolytope.frames`.
+    is its position in :attr:`DelzantPolytope.frames`, which derives it.
 
     Edges are ordered by the facet of the vertex they leave (the unique
     active facet not containing the edge), so frames are reproducible.
@@ -60,14 +62,15 @@ class VertexFrame:
 @dataclass(frozen=True)
 class DelzantPolytope:
     """A validated Delzant polytope: its minimal H-representation, its
-    vertices in lexicographic order, their sorted active facets and its
-    vertex frames.  All else, edges included, is derived on first use and cached.
+    vertices in lexicographic order, their sorted active facets and each
+    vertex cone's edge directions (the columns of N_I^-1).  These fix the
+    frames, which, like all else, are derived on first use and cached.
     """
 
     hrep: HPolytope
     vertices: tuple[Vec, ...]
     incidence: tuple[tuple[int, ...], ...]
-    frames: tuple[VertexFrame, ...]
+    directions: tuple[tuple[IntVec, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -76,6 +79,27 @@ class DelzantPolytope:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def frames(self) -> tuple[VertexFrame, ...]:
+        """The vertex frames.  Across active facet f of vertex i, the other
+        n - 1 active facets cut out the edge along d_f (v_i is on no other
+        facet), so its other end j is the one other vertex on them, found by
+        double description's adjacency test from all vertices (so that
+        n = 1, with no facet left, works).  So v_j - v_i = t d_f for the
+        edge length t, which :func:`_edge_lengths` reads off."""
+        masks = [sum(1 << f for f in active) for active in self.incidence]
+        on = _tight_columns(masks)
+        everyone = (1 << len(masks)) - 1
+        frames = []
+        for i, (mask, dirs) in enumerate(zip(masks, self.directions)):
+            neighbors = tuple(
+                _third_positions(mask ^ (1 << f), 1 << i, on, everyone).bit_length() - 1
+                for f in self.incidence[i]
+            )
+            lengths = _edge_lengths(self.vertices, i, dirs, neighbors)
+            frames.append(VertexFrame(dirs, lengths, neighbors))
+        return tuple(frames)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -110,14 +134,14 @@ class DelzantPolytope:
         """Vertex by vertex, each facet j off the vertex v_I as (j, c, a):
         under offsets s its slack at v_I(s) = v_I + sum_{f in I} s^f d_f is
         c + a . s_I - s^j, with c its slack at v_I and a = (<u_j, d_f>)_f
-        integral, the frame directions d_f being the columns of N_I^-1."""
+        integral, the directions d_f being the columns of N_I^-1."""
         return tuple(
             tuple(
-                (j, h.eval_at(v), tuple(dot(h.normal, d) for d in frame.directions))
+                (j, h.eval_at(v), tuple(dot(h.normal, d) for d in dirs))
                 for j, h in enumerate(self.hrep.halfspaces)
                 if j not in active
             )
-            for v, active, frame in zip(self.vertices, self.incidence, self.frames)
+            for v, active, dirs in zip(self.vertices, self.incidence, self.directions)
         )
 
     @cached_property
@@ -125,14 +149,14 @@ class DelzantPolytope:
         """Exact Euclidean volume by Brion's formula over the vertex cones
         (Brion 1988; Lawrence 1991): :func:`_brion_volume`, the sum every
         scan sample takes too, over the terms of :func:`_brion_terms`."""
-        xi, denoms = _brion_terms(self.frames)
+        xi, denoms = _brion_terms(self.directions)
         heights, q = common_denominator(dot(xi, v) for v in self.vertices)
         return _brion_volume(self.dim, denoms, heights, q)
 
 
-def _brion_terms(frames) -> tuple[IntVec, list[int]]:
-    """The direction xi of Brion's formula for these vertex cones, and the
-    denominator prod_f (-<xi, d_f>) of each cone.
+def _brion_terms(directions) -> tuple[IntVec, list[int]]:
+    """The direction xi of Brion's formula for the vertex cones with these
+    edge directions, and the denominator prod_f (-<xi, d_f>) of each cone.
 
     Each vertex cone is unimodular with edge directions d_f, so for any xi
     with no <xi, d_f> = 0,
@@ -140,16 +164,16 @@ def _brion_terms(frames) -> tuple[IntVec, list[int]]:
         vol = (1/n!) sum_v <xi, v>^n / prod_f (-<xi, d_f>).
 
     Take xi = (1, M, ..., M^(n-1)) with M = 1 + the largest |entry| of any
-    frame direction.  For a nonzero integral d whose last nonzero entry is
+    direction.  For a nonzero integral d whose last nonzero entry is
     d_k, |d_k M^k| >= M^k, while the lower terms sum to at most
     (M - 1)(1 + M + ... + M^(k-1)) = M^k - 1 in absolute value; so
-    <xi, d> != 0.  Only the frame directions enter, so every member of an
+    <xi, d> != 0.  Only the directions enter, so every member of an
     offset family shares the terms, and only <xi, v> moves.
     """
-    n = len(frames[0].directions)
-    m = 1 + max(abs(c) for f in frames for d in f.directions for c in d)
+    n = len(directions[0])
+    m = 1 + max(abs(c) for dirs in directions for d in dirs for c in d)
     xi = tuple(m**k for k in range(n))
-    return xi, [math.prod(-dot(xi, d) for d in f.directions) for f in frames]
+    return xi, [math.prod(-dot(xi, d) for d in dirs) for dirs in directions]
 
 
 def _brion_volume(n: int, denoms, heights, q: int) -> Fraction:
@@ -181,7 +205,7 @@ def validate_delzant(P: HPolytope) -> DelzantPolytope:
 
 def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
     """:func:`validate_delzant` on a minimal H-representation with its
-    vertices and facet incidence, assembled by :func:`_delzant`.
+    vertices and facet incidence: the per-cone test, no edge built.
 
     A vertex on other than n facets is not simple.  At a simple vertex the
     frame comes from its cone, not from its edges.  Let N_I hold the active
@@ -196,55 +220,27 @@ def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
     det N_I = +-1.  Conversely an integral N_I^-1 = U diag(c)^-1 has
     integral columns u_k / c_k, so c = 1 again and U = N_I^-1.
 
-    The neighbour j across I[k] is the one other vertex on every facet of
-    I - {I[k]}: the AND of those facets' vertex bitmasks, started from all
-    vertices (so that n = 1 works).  Those n - 1 independent facets cut out
-    the edge along d_k, which leaves v_i into the polytope since v_i is on
-    no other facet, and any vertex on that face is one of the edge's two
-    ends.  So v_j - v_i = t d_k for the edge length t, which
-    :func:`_edge_lengths` reads off one nonzero coordinate of d_k.  Only a
-    failing vertex computes the determinant of its primitive edge
-    directions, which its error message reports.
+    The elimination holds det N_I^-1 on the right, so det times its column
+    k is a positive multiple of the edge along u_k: a failing vertex
+    reports the determinant of their primitive forms.
     """
     n = reduced.dim
     unit = [[int(r == c) for c in range(n)] for r in range(n)]
-    on = _tight_columns([sum(1 << f for f in active) for active in incidence])
-    everyone = (1 << len(verts)) - 1
-
     dirs: list[tuple[IntVec, ...]] = []
-    neighbors: list[tuple[int, ...]] = []
     for i, active in enumerate(incidence):
         if len(active) != n:
             raise NotDelzantError(f"not simple at vertex {i}")
-        order = []
-        for f in active:
-            ends = everyone
-            for g in active:
-                if g != f:
-                    ends &= on[g]
-            order.append((ends ^ (1 << i)).bit_length() - 1)
         rows, _, det = bareiss(
             [list(reduced.halfspaces[f].normal) + e for f, e in zip(active, unit)]
         )
+        cols = tuple(tuple(det * row[n + k] for row in rows) for k in range(n))
         if det not in (1, -1):
-            prim = [primitive_direction(vec_sub(verts[j], verts[i]))[0] for j in order]
+            prim = [gcd_primitive(c)[0] for c in cols]
             raise NotDelzantError(
                 f"not unimodular at vertex {i} (det = {mat_det(prim)})"
             )
-        dirs.append(tuple(tuple(det * row[n + k] for row in rows) for k in range(n)))
-        neighbors.append(tuple(order))
-    return _delzant(reduced, verts, incidence, dirs, neighbors)
-
-
-def _delzant(hrep: HPolytope, verts, incidence, dirs, neighbors) -> DelzantPolytope:
-    """The one constructor of a :class:`DelzantPolytope`, from its vertices,
-    their incidence and, per vertex, the frame directions and the neighbour
-    along each, with the edge lengths by :func:`_edge_lengths`."""
-    frames = tuple(
-        VertexFrame(d, _edge_lengths(verts, i, d, nb), nb)
-        for i, (d, nb) in enumerate(zip(dirs, neighbors))
-    )
-    return DelzantPolytope(hrep, verts, incidence, frames)
+        dirs.append(cols)
+    return DelzantPolytope(reduced, verts, incidence, tuple(dirs))
 
 
 def _edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:

@@ -195,10 +195,18 @@ def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope
     raise SpecFileError("spec needs a halfspaces or generator entry")
 
 
-def load_spec_file(path: str) -> tuple[str | None, DelzantPolytope]:
+def read_json_file(path: str) -> Any:
+    """The JSON document in a UTF-8 file; whatever stops its decoding, bad
+    bytes or nesting too deep included, is a :class:`SpecFileError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return load_spec_document(doc)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SpecFileError(str(exc)) from exc
+
+
+def load_spec_file(path: str) -> tuple[str | None, DelzantPolytope]:
+    return load_spec_document(read_json_file(path))
 
 
 def spec_file_document(D: DelzantPolytope, name: str | None = None) -> dict[str, Any]:

@@ -203,7 +203,7 @@ def admissible_simplex(D: DelzantPolytope, i: int, radius) -> AdmissibleSimplex:
     rows = active + [HalfSpace(outer, -sum(h.offset for h in active) - r)]
     return AdmissibleSimplex(
         radius=r,
-        frame_columns=D.frames[i].directions,
+        frame_columns=D.directions[i],
         center=D.vertices[i],
         hull=HPolytope(n, tuple(rows)),
     )

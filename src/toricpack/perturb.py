@@ -25,7 +25,6 @@ from .delzant import (
     NotDelzantError,
     _brion_terms,
     _brion_volume,
-    _delzant,
     _edge_lengths,
     _validate_reduced,
 )
@@ -73,12 +72,11 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     facets is v_I(s) = v_I + sum_{f in I} s^f d_f.  The offset is accepted
     exactly when every off-vertex slack of :func:`_moved` is positive, and
     D(s) is then the moved vertices in lexicographic order with the base's
-    incidence, frame directions and neighbours (validation's, read off the
-    incidence), renumbered and assembled by
-    :func:`~toricpack.delzant._delzant` as in validation; nothing is
-    enumerated.  The moved neighbour across the edge along d_f lies on the
-    ray from v_I(s) along d_f (see below), so ``_delzant`` reads the edge's
-    lattice length off the moved vertices.
+    incidence and directions, reordered alike; nothing is enumerated and no
+    edge is built.  The member derives its own frames from these, as a
+    validated polytope does: the moved neighbour across the edge along d_f
+    lies on the ray from v_I(s) along d_f (see below), so the edge's
+    lattice length is read off the moved vertices.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
     facets I, so it is a simple vertex of D(s).  Its edge along d_f keeps
@@ -100,14 +98,11 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     )
     if all(x > 0 for x in slacks):
         order = sorted(range(len(moved)), key=moved.__getitem__)
-        rank = {i: k for k, i in enumerate(order)}
-        frames = [base.frames[i] for i in order]
-        return _delzant(
+        return DelzantPolytope(
             shifted,
             tuple(moved[i] for i in order),
             tuple(base.incidence[i] for i in order),
-            [f.directions for f in frames],
-            [tuple(rank[j] for j in f.neighbor_indices) for f in frames],
+            tuple(base.directions[i] for i in order),
         )
     try:
         reduced, verts, incidence = _reduce(shifted)
@@ -139,12 +134,12 @@ def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
         )
     moved: list[Vec] = []
     slacks: list[Fraction] = []
-    for v, active, frame, forms in zip(
-        base.vertices, base.incidence, base.frames, base._slack_forms
+    for v, active, dirs, forms in zip(
+        base.vertices, base.incidence, base.directions, base._slack_forms
     ):
         s_I = [sv[f] for f in active]
         moved.append(tuple(
-            c + sum(x * d[k] for x, d in zip(s_I, frame.directions))
+            c + sum(x * d[k] for x, d in zip(s_I, dirs))
             for k, c in enumerate(v)
         ))
         slacks.extend(c + dot(a, s_I) - sv[j] for j, c, a in forms)
@@ -352,7 +347,7 @@ def scan_segment(
         [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
         for vs in (moved0, moved1)
     ), N)
-    xi, denoms = _brion_terms(frames)
+    xi, denoms = _brion_terms(base.directions)
     heights = _sampled(*([dot(xi, v) for v in vs] for vs in (moved0, moved1)), N)
 
     keyed: dict[int, dict[int, IntVec]] = {}

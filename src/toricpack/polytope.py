@@ -156,6 +156,7 @@ def _tight_columns(masks: list[int]) -> list[int]:
 def _third_positions(common: int, pair: int, cols: list[int], alive: int) -> int:
     """Positions of ``alive`` other than ``pair`` that are tight on every
     row of ``common``, as a bitmask; 0 exactly when the pair is adjacent.
+    ``pair`` may be one position, to find the other end of an edge.
 
     ANDs the columns of the common rows into the mask of every live
     position, highest row first, and stops once only the pair is left.
@@ -411,7 +412,7 @@ def _edges_from_masks(n: int, masks: list[int]) -> list[tuple[int, int]]:
 def _reduce(P: HPolytope) -> tuple[HPolytope, tuple[Vec, ...], tuple[tuple[int, ...], ...]]:
     """Minimal H-representation of P, its sorted vertices and their facet
     incidence, from one enumeration of P; no edge is computed, since
-    validation reads each neighbour off the incidence (``delzant._delzant``).
+    ``DelzantPolytope.frames`` reads each neighbour off the incidence.
 
     Double description hands on each vertex's tight set.  A halfspace is
     kept when its tight vertex set is nonempty and lies strictly inside no

@@ -405,7 +405,11 @@ def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantP
     """Delzant validation with the edges from the rank test,
     :func:`brute_force_edges`, and every frame built from the primitive
     directions of the vertex differences along its edges, with the
-    unimodularity test on their determinant."""
+    unimodularity test on their determinant.
+
+    The polytope is built from these directions, and its ``frames`` are
+    these rank-test frames: they are stored in the instance as the cached
+    value of the property, so the library's derivation never runs on it."""
     n = reduced.dim
     nverts = len(verts)
 
@@ -442,7 +446,9 @@ def reference_validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantP
                 f"not unimodular at vertex {i} (det = {det})"
             )
         frames.append(VertexFrame(tuple(dirs), tuple(lens), tuple(order)))
-    return DelzantPolytope(reduced, verts, incidence, tuple(frames))
+    D = DelzantPolytope(reduced, verts, incidence, tuple(f.directions for f in frames))
+    D.__dict__["frames"] = tuple(frames)
+    return D
 
 
 def reference_scan_segment(

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Files that are no JSON document: bytes that are not UTF-8, arrays nested
+# too deep to decode, and an integer past the interpreter's digit limit for
+# conversion.  All are parse failures, exit 1.
+UNDECODABLE = [
+    b'\xff\xfe{"dim": 2}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"dim": ' + b"1" * 5000 + b"}",
+]
+UNDECODABLE_IDS = ["not utf-8", "nested 100000 deep", "5000-digit integer"]
+
+
 @pytest.fixture()
 def square_spec(tmp_path, capsys):
     path = tmp_path / "square.json"
@@ -107,6 +118,14 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "does-not-exist.json")
         assert code == 1
+
+    @pytest.mark.parametrize("data", UNDECODABLE, ids=UNDECODABLE_IDS)
+    def test_undecodable_spec(self, tmp_path, capsys, data):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(data)
+        code, out, err = run(capsys, "validate", str(spec))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_non_delzant(self, tmp_path, capsys):
         spec = tmp_path / "tri.json"
@@ -468,6 +487,16 @@ class TestScan:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("data", UNDECODABLE, ids=UNDECODABLE_IDS)
+    def test_undecodable_direction_refused(self, square_spec, tmp_path, capsys, data):
+        d = tmp_path / "bad.json"
+        d.write_bytes(data)
+        code, out, err = run(
+            capsys, "scan", "--base", str(square_spec), "--dir", str(d), "--samples", "4"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_direction_entries_exact(self, square_spec, tmp_path, capsys):
         # JSON integers and rational strings mix freely, as in spec offsets.

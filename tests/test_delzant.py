@@ -1,3 +1,4 @@
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -21,7 +22,7 @@ from toricpack.delzant import (
 )
 from toricpack.jsonio import info_report
 from toricpack.linalg import mat_det, vec_add, vec_scale
-from toricpack.perturb import perturb, safe_radius_estimate
+from toricpack.perturb import is_admissible, perturb, safe_radius_estimate
 from toricpack.polytope import _reduce, hpolytope
 
 F = Fraction
@@ -371,3 +372,41 @@ class TestBrionVolume:
         ]
         for D in members:
             assert D.euclidean_volume == reference_volume(D.hrep)
+
+
+class TestFramesOnDemand:
+    """Validation is the per-cone test: the frames, and the adjacency tests
+    that find their neighbours, are built only when read."""
+
+    @pytest.fixture()
+    def adjacency_tests(self, monkeypatch):
+        module = importlib.import_module("toricpack.delzant")
+        calls = []
+        original = module._third_positions
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_third_positions", counted)
+        return calls
+
+    def test_validation_and_offsets_build_no_frames(self, adjacency_tests):
+        cube5 = validate_delzant(make_cube(5).hrep)
+        assert cube5.euclidean_volume == 1
+        rho = safe_radius_estimate(cube5)
+        s = [rho / 2] * cube5.hrep.num_facets
+        assert is_admissible(cube5, s)
+        member = perturb(cube5, s)
+        assert member.euclidean_volume == (1 - rho) ** 5
+        assert adjacency_tests == []
+        for D in (cube5, member):
+            assert "frames" not in D.__dict__
+
+    def test_frames_derived_once(self, adjacency_tests):
+        cube3 = make_cube(3)
+        first = cube3.frames
+        # One adjacency test per vertex and active facet: V n = 8 * 3.
+        assert len(adjacency_tests) == 24
+        assert cube3.frames is first
+        assert len(adjacency_tests) == 24

@@ -149,11 +149,15 @@ class TestCodes:
         D = perturb(HEXAGON, s)
         assert HEXAGON.vertices.index((1, 0)) < HEXAGON.vertices.index((1, 2))
         assert D.vertices.index((F(19, 20), 0)) > D.vertices.index((F(9, 10), 2))
-        assert D == reference_perturb(HEXAGON, s)
+        want = reference_perturb(HEXAGON, s)
+        assert D == want
+        assert D.frames == want.frames
 
     def test_just_before_the_chops_meet(self):
         D = perturb(CHOPPED_CUBE, chop_shift(F(1, 17)))
-        assert D == reference_perturb(CHOPPED_CUBE, chop_shift(F(1, 17)))
+        want = reference_perturb(CHOPPED_CUBE, chop_shift(F(1, 17)))
+        assert D == want
+        assert D.frames == want.frames
         assert same_fan(D, CHOPPED_CUBE)
 
 
@@ -194,6 +198,7 @@ class TestMatchesReference:
                     rejected += 1
                 else:
                     # Not dataclass fields, so == above does not compare them.
+                    assert got.frames == want.frames, s
                     assert got.euclidean_volume == reference_volume(want.hrep), s
                     assert got.corner_radii == want.corner_radii, s
                     assert got.pair_bounds == want.pair_bounds, s
@@ -202,8 +207,8 @@ class TestMatchesReference:
 
 
 class TestFramesReused:
-    """An admissible member takes its frames from the base; only a rejected
-    offset is validated, to name the failure."""
+    """An admissible member takes its directions from the base; only a
+    rejected offset is validated, to name the failure."""
 
     @pytest.fixture()
     def validated(self, monkeypatch):
