@@ -8,6 +8,7 @@ by construction so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -44,11 +45,18 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value: Any, what: str) -> Fraction:
-    """A JSON integer or a string such as "-9/10"; nothing else."""
+    """A JSON integer or a string such as "-9/10": an optional minus sign,
+    ASCII digits and an optional "/" with a nonzero ASCII denominator;
+    nothing else, so no decimal, exponent, sign "+", space or other
+    digit script."""
     if _is_int(value):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -129,12 +137,11 @@ def generator_polytope(name: str, args: list) -> DelzantPolytope:
 
     def n(k: int) -> int:
         value = args[k]
-        if isinstance(value, str):
-            digits = value[1:] if value.startswith("-") else value
-            if digits.isascii() and digits.isdigit():
+        if _is_int(value) or isinstance(value, str) and _INTEGER.fullmatch(value):
+            try:
                 return int(value)
-        elif _is_int(value):
-            return value
+            except ValueError:  # past the interpreter's digit limit
+                pass
         raise SpecFileError(f"args[{k}] must be an integer, got {value!r}")
 
     def q(k: int) -> Fraction:
@@ -197,12 +204,13 @@ def load_spec_document(doc: dict[str, Any]) -> tuple[str | None, DelzantPolytope
 
 def read_json_file(path: str) -> Any:
     """The JSON document in a UTF-8 file; whatever stops its decoding, bad
-    bytes or nesting too deep included, is a :class:`SpecFileError`."""
+    bytes or nesting too deep included, is a :class:`SpecFileError` that
+    names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise SpecFileError(str(exc)) from exc
+            raise SpecFileError(f"{path}: {exc}") from exc
 
 
 def load_spec_file(path: str) -> tuple[str | None, DelzantPolytope]:

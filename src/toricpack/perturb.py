@@ -40,7 +40,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .packing import _maximal_rays, _ranked
+from .packing import _certified, _maximal_rays, _ranked
 from .polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -261,10 +261,13 @@ def scan_segment(
     off-vertex slacks (:func:`_moved`), t = 0 first; if one is refused,
     :func:`perturb` runs once, at the first inadmissible sample, and
     ScanError names its t.  Every sample is interpolated from the ends in
-    integer arithmetic, and double description runs once per chamber of
-    the packing down-closure, not once per sample.  Certificates: midpoint
-    concavity of vol^(1/n) over the whole segment and midpoint convexity
-    of omega^(1/n) for triples within [0, 1/4], all in exact arithmetic.
+    integer arithmetic, and its maximum is certified by the edge-block
+    bound of :func:`~toricpack.packing._certified`, as in :func:`maximize`;
+    if one sample is not certified, double description runs instead once
+    per chamber of the packing down-closure, not once per sample, over the
+    whole segment.  Certificates: midpoint concavity of vol^(1/n) over the
+    whole segment and midpoint convexity of omega^(1/n) for triples within
+    [0, 1/4], all in exact arithmetic.
 
     Why this gives what per-sample validation and :func:`maximize` give:
 
@@ -279,6 +282,12 @@ def scan_segment(
       over those cones, :func:`~toricpack.delzant._brion_volume` as in
       ``euclidean_volume``, with
       <xi, v(t)> = (1-t) <xi, v(0)> + t <xi, v(1)>.
+    - Certified samples.  The bound reads only the sample's edge lengths,
+      which are the member's, and where it is reached it gives the
+      member's maximum and all its ties under any numbering of the
+      vertices and any common denominator.  The samples are certified in
+      order, and at the first that is not, the chamber route below runs
+      on the whole segment.
     - The chambers.  Double description runs on the rows that
       :func:`~toricpack.packing._maximal_rays` builds from the sample's
       edge lengths, as for :func:`maximize`.  In base vertex order their
@@ -396,9 +405,13 @@ def scan_segment(
                 n,
             )
 
-    run_dd(0, N > 1)
-    run_dd(N, N > 1)
-    fill(0, N)
+    for k in range(N + 1):
+        ranked[k] = _certified(frames, *lengths(k), n)
+        if ranked[k] is None:
+            run_dd(0, N > 1)
+            run_dd(N, N > 1)
+            fill(0, N)
+            break
 
     ts = [Fraction(k, N) for k in range(N + 1)]
     vols = [_brion_volume(n, denoms, *heights(k)) for k in range(N + 1)]

@@ -92,12 +92,19 @@ class TestFamily:
         assert err == f"error: chopped simplex dimension must be >= 2, got {n}\n"
 
     def test_non_integer_n_refused(self, capsys):
-        # int() would take the underscores and the space.
-        for n in ["2.5", "1_0", "2_0", " 2"]:
+        # int() would take the underscores and the space, and refuse 5000
+        # digits with a message that names no argument.
+        for n in ["2.5", "1_0", "2_0", " 2", "1" * 5000]:
             code, out, err = run(capsys, "family", "cube", n)
             assert code == 1
             assert out == ""
             assert err == f"error: args[0] must be an integer, got {n!r}\n"
+
+    @pytest.mark.parametrize("scale", ["\u0662", "2.0", "1e3", "+2", "2/0"])
+    def test_non_rational_scale_refused(self, capsys, scale):
+        code, out, err = run(capsys, "family", "cube", "2", scale)
+        assert (code, out) == (1, "")
+        assert err == f"error: args[1] must be an integer or a rational string, got {scale!r}\n"
 
     def test_prism_counts(self, tmp_path, capsys):
         out = tmp_path / "prism.json"
@@ -114,6 +121,7 @@ class TestValidate:
         bad.write_text("{not json")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1
+        assert err.startswith(f"error: {bad}: Expecting property name")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "does-not-exist.json")
@@ -125,7 +133,7 @@ class TestValidate:
         spec.write_bytes(data)
         code, out, err = run(capsys, "validate", str(spec))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {spec}: ")
 
     def test_non_delzant(self, tmp_path, capsys):
         spec = tmp_path / "tri.json"
@@ -178,6 +186,14 @@ class TestValidate:
             ("normal", [1], "halfspace 0: normal must have 2 entries, got [1]"),
             ("dim", 0, "error: dim must be at least 1, got 0"),
             ("dim", -1, "error: dim must be at least 1, got -1"),
+            # Only -?[0-9]+(/[0-9]+)? is read: an exponent would be expanded
+            # digit by digit, and other digit scripts would pass as digits.
+            ("offset", "-1e10000000", "halfspace 0: offset must be"),
+            ("offset", "1.5", "halfspace 0: offset must be"),
+            ("offset", "+1", "halfspace 0: offset must be"),
+            ("offset", " 1", "halfspace 0: offset must be"),
+            ("offset", "1/0", "halfspace 0: offset must be"),
+            ("offset", "\u0662", "halfspace 0: offset must be"),
         ],
     )
     def test_malformed_spec_refused(self, tmp_path, capsys, field, value, message):
@@ -476,6 +492,7 @@ class TestScan:
             ({"s2": [0, 0, -1, 0], "s1": None}, "s1 must be a list"),
             ({"s2": [0, 0, -1, 0], "s1": [0, False, 0, 0]}, "s1[1] must be an integer"),
             ({"s2": [0, 0, -1, 0], "s1": [0, 0]}, "s1 has 2 entries, s2 has 4"),
+            ({"s2": [0, 0, "-1e9", 0]}, "s2[2] must be an integer or a rational string"),
         ],
     )
     def test_malformed_direction_refused(self, square_spec, tmp_path, capsys, doc, message):
@@ -496,7 +513,7 @@ class TestScan:
             capsys, "scan", "--base", str(square_spec), "--dir", str(d), "--samples", "4"
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {d}: ")
 
     def test_direction_entries_exact(self, square_spec, tmp_path, capsys):
         # JSON integers and rational strings mix freely, as in spec offsets.

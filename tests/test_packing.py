@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +17,9 @@ from reference import (
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.linalg import common_denominator
 from toricpack.packing import (
+    _certified,
     _maximal_rays,
+    _ranked,
     admissible_simplex,
     build_packing_polytope,
     density,
@@ -42,11 +46,23 @@ BASES = {
 }
 
 
+# Bases whose members the edge-block bound certifies, and the prism, whose
+# members it does not.
+CERTIFIED_BASES = {
+    "square": BASES["square"],
+    "cube3": BASES["cube3"],
+    "cube4": make_cube(4),
+    "pentagon": BASES["pentagon"],
+    "pentagonxsimplex1": make_product(BASES["pentagon"], make_simplex(1)),
+    "prism": BASES["prism"],
+}
+
+
 @st.composite
-def admissible_offsets(draw):
+def admissible_offsets(draw, bases=BASES):
     """A base polytope and an offset vector strictly inside its safe radius."""
-    name = draw(st.sampled_from(sorted(BASES)))
-    base = BASES[name]
+    name = draw(st.sampled_from(sorted(bases)))
+    base = bases[name]
     rho = safe_radius_estimate(base)
     k = base.hrep.num_facets
     steps = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
@@ -231,6 +247,49 @@ class TestMaximizeMatchesFullSystem:
         assert all(p.density == best for p in packs)
 
 
+def ranked_points(best):
+    """The value and the sorted points y / x0 of a ranked maximum."""
+    value, rays = best
+    return value, sorted(tuple(F(c, ray[0]) for c in ray[1:]) for ray in rays)
+
+
+class TestCertified:
+    """Where the edge-block bound is reached, it gives the value and the
+    ties that ranking the down-closure's rays gives, with no double
+    description."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(admissible_offsets(CERTIFIED_BASES))
+    @example(("cube4", (0,) * 8))
+    @example(("prism", (0,) * 5))
+    def test_offsets(self, case):
+        name, offsets = case
+        D = perturb(CERTIFIED_BASES[name], offsets)
+        num, q = common_denominator(t for f in D.frames for t in f.lengths)
+        got = _certified(D.frames, num, q, D.dim)
+        if got is not None:
+            assert ranked_points(got) == ranked_points(_ranked(_maximal_rays(D.frames, num, q), D.dim))
+
+    def test_interval_not_certified(self):
+        D = make_simplex(1)
+        assert _certified(D.frames, [1, 1], 1, 1) is None
+
+    @pytest.mark.parametrize(
+        "D, dds",
+        [(make_cube(4), 0), (BASES["pentagon"], 0), (BASES["chopped3"], 1)],
+        ids=["cube4", "pentagon", "chopped3"],
+    )
+    def test_dd_calls(self, monkeypatch, D, dds):
+        packing_module = importlib.import_module("toricpack.packing")
+        calls = []
+        cone_rays = packing_module._cone_rays
+        monkeypatch.setattr(
+            packing_module, "_cone_rays", lambda *args: calls.append(args) or cone_rays(*args)
+        )
+        maximize(D)
+        assert len(calls) == dds
+
+
 class TestBindingEdges:
     """The down-closure rows built in integers from the frames, with the
     binding edges read from the frames' lengths, give the rays of the
@@ -295,12 +354,16 @@ class TestDownClosure:
 
 class TestWalls:
     """Instances whose full packing polytope double description did not
-    finish (cube 5) or took seconds (the chopped 5-simplex)."""
+    finish (cube 5) or took seconds (the chopped 5-simplex), and cubes up
+    to 7: down-closure double description did not finish cube 6 in ten
+    minutes."""
 
-    def test_cube5_checkerboard(self):
-        D = make_cube(5)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_cube_checkerboards(self, n):
+        # 2^(n-1) / n!: the two checkerboards fill half the corners.
+        D = make_cube(n)
         best, packs = maximize(D)
-        assert best == F(2, 15)
+        assert best == F(2 ** (n - 1), math.factorial(n))
         expect = sorted(
             tuple(F(int(sum(v) % 2 == parity)) for v in D.vertices) for parity in (0, 1)
         )

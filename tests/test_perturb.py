@@ -575,9 +575,11 @@ class TestScanMatchesReference:
 
 
 class TestScanWork:
-    """A scan builds no member, calls perturb only to name a refused sample,
-    and runs double description once per chamber of the packing
-    down-closure: one ``_cone_rays`` call from the down-closure builder."""
+    """A scan builds no member and calls perturb only to name a refused
+    sample.  Where the edge-block bound certifies every sample it runs no
+    double description; otherwise it runs it once per chamber of the
+    packing down-closure: one ``_cone_rays`` call from the down-closure
+    builder."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -599,6 +601,22 @@ class TestScanWork:
     @pytest.mark.parametrize(
         "name, s2, samples, dds",
         [
+            # Every sample of the square's rectangle family and of the
+            # pentagon's homothety certifies.
+            ("square", RECT_DIR, 16, 0),
+            ("pentagon", (0, 0, F(-1, 2), F(-9, 20), F(-9, 20)), 8, 0),
+            # No sample of the chopped 3-simplex does: the chamber route.
+            ("chopped3", (F(1, 50), F(-1, 50), F(1, 100), 0, F(-1, 60), F(1, 70)), 8, 5),
+        ],
+    )
+    def test_dd_per_scan(self, counts, name, s2, samples, dds):
+        base = SCAN_BASES[name]
+        scan_segment(base, (0,) * len(s2), s2, samples)
+        assert counts == {"perturb": 0, "dd": dds}
+
+    @pytest.mark.parametrize(
+        "name, s2, samples, dds",
+        [
             # The square's rectangle family: chambers {0}, 1-15 and {16}.
             ("square", RECT_DIR, 16, 9),
             # The pentagon's homothety to 3/2 of its size: one chamber.
@@ -606,11 +624,30 @@ class TestScanWork:
             ("chopped3", (F(1, 50), F(-1, 50), F(1, 100), 0, F(-1, 60), F(1, 70)), 8, 5),
         ],
     )
-    def test_dd_per_chamber(self, counts, name, s2, samples, dds):
+    def test_dd_per_chamber(self, counts, monkeypatch, name, s2, samples, dds):
+        # With no sample certified, the chamber route gives the same result.
         base = SCAN_BASES[name]
-        scan_segment(base, (0,) * len(s2), s2, samples)
+        want = scan_segment(base, (0,) * len(s2), s2, samples)
+        monkeypatch.setattr(importlib.import_module("toricpack.perturb"), "_certified", lambda *args: None)
+        counts.update(perturb=0, dd=0)
+        assert scan_segment(base, (0,) * len(s2), s2, samples) == want
         assert counts == {"perturb": 0, "dd": dds}
         assert dds < samples + 1
+
+    def test_uncertified_sample_sends_the_segment_to_chambers(self, counts, monkeypatch):
+        # Sample 0 of this simplex 2 x square segment certifies and sample 1
+        # does not, so the whole segment takes the chamber route.
+        perturb_module = importlib.import_module("toricpack.perturb")
+        certified, seen = perturb_module._certified, []
+        monkeypatch.setattr(
+            perturb_module, "_certified", lambda *args: seen.append(certified(*args)) or seen[-1]
+        )
+        base = make_product(make_simplex(2), make_cube(2))
+        s1 = (F(-1, 4), 0, F(-1, 6), F(-1, 12), F(1, 4), F(1, 4), F(1, 6))
+        got = scan_segment(base, s1, (0,) * 7, 4)
+        assert [c is not None for c in seen] == [True, False]
+        assert counts == {"perturb": 0, "dd": 5}
+        assert got == reference_scan_segment(base, s1, (0,) * 7, 4)
 
     def test_homothety_offsets(self):
         pentagon = SCAN_BASES["pentagon"]

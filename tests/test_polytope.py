@@ -611,7 +611,10 @@ class TestNoElimination:
                 monkeypatch.setattr(module, "bareiss", counted)
         return sizes
 
-    def test_maximize_cube4(self, eliminations):
+    def test_maximize_cube4(self, eliminations, monkeypatch):
+        # The edge-block bound certifies cube 4; switched off, maximize runs
+        # double description on the down-closure.
+        monkeypatch.setattr(sys.modules["toricpack.packing"], "_certified", lambda *args: None)
         D = make_cube(4)
         eliminations.clear()
         assert maximize(D)[0] == F(1, 3)
