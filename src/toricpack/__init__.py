@@ -1,10 +1,11 @@
 """Exact-arithmetic maximal simplex packings of Delzant polytopes.
 
 The public surface: exact rational linear algebra (:mod:`toricpack.linalg`),
-generic polytope machinery (:mod:`toricpack.polytope`), Delzant validation
-and generators (:mod:`toricpack.delzant`), packing construction and
-maximization (:mod:`toricpack.packing`), offset perturbation families
-(:mod:`toricpack.perturb`), and a CLI (``toricpack``).
+H-representations with the double description behind them
+(:mod:`toricpack.polytope`), Delzant validation and generators
+(:mod:`toricpack.delzant`), maximization, realization and the disjointness
+oracle of packings (:mod:`toricpack.packing`), offset perturbation families
+and scans (:mod:`toricpack.perturb`), and a CLI (``toricpack``).
 """
 
 from .delzant import (
@@ -15,7 +16,6 @@ from .delzant import (
     make_cube,
     make_product,
     make_simplex,
-    rational_length,
     scale,
     translate,
     validate_delzant,
@@ -31,12 +31,10 @@ from .packing import (
     AdmissibleSimplex,
     Packing,
     admissible_simplex,
-    build_packing_polytope,
     density,
     disjointness_oracle,
     maximize,
     realize,
-    simplices_disjoint,
 )
 from .perturb import (
     PerturbationError,
@@ -44,7 +42,6 @@ from .perturb import (
     ScanResult,
     compare_root_midpoint,
     is_admissible,
-    is_homothetic,
     perturb,
     safe_radius_estimate,
     scan_segment,
@@ -56,12 +53,8 @@ from .polytope import (
     HPolytope,
     PolytopeError,
     UnboundedPolytopeError,
-    VertexData,
-    contains,
-    enumerate_vertices,
     hpolytope,
     intersect,
-    remove_redundant,
     vertex_set,
 )
 
@@ -82,21 +75,16 @@ __all__ = [
     "ScanError",
     "ScanResult",
     "UnboundedPolytopeError",
-    "VertexData",
     "VertexFrame",
     "admissible_simplex",
-    "build_packing_polytope",
     "compare_root_midpoint",
-    "contains",
     "density",
     "disjointness_oracle",
-    "enumerate_vertices",
     "format_rat",
     "gcd_primitive",
     "hpolytope",
     "intersect",
     "is_admissible",
-    "is_homothetic",
     "make_chopped_simplex",
     "make_cube",
     "make_product",
@@ -105,13 +93,10 @@ __all__ = [
     "maximize",
     "perturb",
     "rat",
-    "rational_length",
     "realize",
-    "remove_redundant",
     "safe_radius_estimate",
     "scale",
     "scan_segment",
-    "simplices_disjoint",
     "translate",
     "validate_delzant",
     "vertex_set",

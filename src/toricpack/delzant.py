@@ -26,9 +26,7 @@ from .linalg import (
     dot,
     gcd_primitive,
     mat_det,
-    primitive_direction,
     rat,
-    vec_sub,
 )
 from .polytope import (
     HPolytope,
@@ -182,16 +180,6 @@ def _brion_volume(n: int, denoms, heights, q: int) -> Fraction:
     dl = math.lcm(*denoms)
     total = sum(dl // d * h**n for d, h in zip(denoms, heights))
     return Fraction(total, dl * math.factorial(n) * q**n)
-
-
-def rational_length(a, b) -> Fraction:
-    """Lattice length of the segment from a to b: the t > 0 with
-    b - a = t * u for primitive integral u."""
-    d = vec_sub(tuple(map(rat, b)), tuple(map(rat, a)))
-    if all(x == 0 for x in d):
-        raise ValueError("zero-length segment")
-    _, t = primitive_direction(d)
-    return t
 
 
 def validate_delzant(P: HPolytope) -> DelzantPolytope:

@@ -7,6 +7,7 @@ by construction so identical inputs serialize byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .delzant import (
     validate_delzant,
 )
 from .linalg import format_rat
-from .packing import Packing, build_packing_polytope
+from .packing import Packing
 from .perturb import ScanResult
 from .polytope import HPolytope, HalfSpace
 
@@ -287,10 +288,23 @@ def pack_report(
             "maximal_packings": [
                 [format_rat(c) for c in p.radii] for p in listed
             ],
-            "packing_polytope": hrep_to_json(build_packing_polytope(D)),
+            "packing_polytope": _packing_rows(D),
         }
     )
     return doc
+
+
+def _packing_rows(D: DelzantPolytope) -> dict[str, Any]:
+    """D's packing polytope in R^V as :func:`hrep_to_json` writes it:
+    x_i >= 0 for each vertex, then -x_i - x_j >= -pair_bounds[i][j] for
+    every pair i < j in lexicographic order, all normals primitive."""
+    V, b = D.num_vertices, D.pair_bounds
+    rows = [{"normal": [int(k == i) for k in range(V)], "offset": "0"} for i in range(V)]
+    for i, j in itertools.combinations(range(V), 2):
+        normal = [0] * V
+        normal[i] = normal[j] = -1
+        rows.append({"normal": normal, "offset": format_rat(-b[i][j])})
+    return {"dim": V, "halfspaces": rows}
 
 
 def scan_csv(res: ScanResult) -> str:

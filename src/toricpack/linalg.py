@@ -42,10 +42,6 @@ def vec_add(a: Sequence, b: Sequence) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c, a: Sequence) -> Vec:
     return tuple(c * x for x in a)
 
@@ -75,15 +71,6 @@ def common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     xs = list(xs)
     q = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (q // x.denominator) for x in xs], q
-
-
-def primitive_direction(d: Sequence[Fraction]) -> tuple[IntVec, Fraction]:
-    """Write a nonzero rational vector as t * u with u primitive integral, t > 0."""
-    if all(x == 0 for x in d):
-        raise ValueError("zero direction")
-    ints, denom = common_denominator(d)
-    u, g = gcd_primitive(ints)
-    return u, Fraction(g, denom)
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:

@@ -5,7 +5,9 @@ feasible radii vectors form a convex polytope P in R^V cut out by
 nonnegativity and the pairwise bounds x_i + x_j <= pair_bounds[i][j].  The
 packed fraction of the volume is sum(x_i^n) / (n! vol), a strictly convex
 function for n >= 2, so its maximum over the feasible set is attained at
-vertices and the maximizers are finitely many.
+vertices and the maximizers are finitely many.  Only the edges of D bind,
+so no route here builds the V + V(V-1)/2 rows of P; ``pack --json``
+prints them straight from ``pair_bounds``.
 
 The maximizers are found without enumerating P.  First an edge-block
 bound, :func:`_certified`: split the vertices into single vertices and
@@ -21,8 +23,9 @@ unbounded polyhedron with far fewer vertices (42 against 743 for the
 4-cube), and double description enumerates that.  Both routes read the
 edge lengths in integers over a common denominator, for :func:`maximize`
 and for every sample of an offset scan alike.  A geometric disjointness
-oracle based on exact pairwise intersection is provided as an independent
-cross-check of the constraint description.
+oracle, :func:`disjointness_oracle`, intersects the realized simplices
+pairwise in exact arithmetic, an independent cross-check of the pair
+bounds.
 """
 
 from __future__ import annotations
@@ -60,23 +63,6 @@ class AdmissibleSimplex:
     frame_columns: tuple[IntVec, ...]
     center: Vec
     hull: HPolytope
-
-
-def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
-    """Full constraint system for the feasible radii vectors of D.
-
-    Constraints come in the fixed order: x_i >= 0 for each vertex, then
-    x_i + x_j <= pair_bounds[i][j] for every unordered pair (i, j) in
-    lexicographic order.  Nonadjacent pairs are bounded by the radius sum,
-    adjacent pairs by the shared edge length.
-    """
-    V = D.num_vertices
-    b = D.pair_bounds
-    rows = [HalfSpace(tuple(int(k == i) for k in range(V)), 0) for i in range(V)]
-    for i, j in itertools.combinations(range(V), 2):
-        normal = tuple(-int(k == i) - int(k == j) for k in range(V))
-        rows.append(HalfSpace(normal, -b[i][j]))
-    return HPolytope(V, tuple(rows))
 
 
 def _binding(frames, num: list[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -311,13 +297,6 @@ def _half_open_disjoint(si: AdmissibleSimplex, sj: AdmissibleSimplex) -> bool:
         if all(h.eval_at(v) == 0 for v in overlap):
             return True
     return False
-
-
-def simplices_disjoint(
-    D: DelzantPolytope, i: int, xi, j: int, xj
-) -> bool:
-    """Exact disjointness of two half-open admissible simplices."""
-    return _half_open_disjoint(admissible_simplex(D, i, xi), admissible_simplex(D, j, xj))
 
 
 def disjointness_oracle(D: DelzantPolytope, x) -> bool:

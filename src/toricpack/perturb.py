@@ -202,13 +202,6 @@ def compare_root_midpoint(mid: Fraction, left: Fraction, right: Fraction, n: int
     raise ArithmeticError("root comparison did not separate")
 
 
-def is_homothetic(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
-    """Exact test for D2 = lam * D1 + v with rational lam > 0."""
-    if D1.dim != D2.dim:
-        raise ValueError("dimension mismatch")
-    return _homothetic(D1.dim, D1.euclidean_volume, D2.euclidean_volume, D1.vertices, D2.vertices)
-
-
 def _homothetic(n: int, vol1: Fraction, vol2: Fraction, verts1, verts2) -> bool:
     """Whether the polytope with vertices verts2 and volume vol2 is
     lam * P1 + v for the polytope P1 with vertices verts1 and volume vol1.
@@ -263,11 +256,11 @@ def scan_segment(
     ScanError names its t.  Every sample is interpolated from the ends in
     integer arithmetic, and its maximum is certified by the edge-block
     bound of :func:`~toricpack.packing._certified`, as in :func:`maximize`;
-    if one sample is not certified, double description runs instead once
-    per chamber of the packing down-closure, not once per sample, over the
-    whole segment.  Certificates: midpoint concavity of vol^(1/n) over the
-    whole segment and midpoint convexity of omega^(1/n) for triples within
-    [0, 1/4], all in exact arithmetic.
+    from the first sample that is not certified to the end, double
+    description runs instead once per chamber of the packing down-closure,
+    not once per sample.  Certificates: midpoint concavity of vol^(1/n)
+    over the whole segment and midpoint convexity of omega^(1/n) for
+    triples within [0, 1/4], all in exact arithmetic.
 
     Why this gives what per-sample validation and :func:`maximize` give:
 
@@ -286,8 +279,10 @@ def scan_segment(
       which are the member's, and where it is reached it gives the
       member's maximum and all its ties under any numbering of the
       vertices and any common denominator.  The samples are certified in
-      order, and at the first that is not, the chamber route below runs
-      on the whole segment.
+      order, and from the first that is not, sample k, the chamber route
+      below runs on the rest of the segment, k/N <= t <= 1; the samples
+      before k keep their certified maxima.  The argument below holds on
+      any sub-interval of the segment, whose samples are all admissible.
     - The chambers.  Double description runs on the rows that
       :func:`~toricpack.packing._maximal_rays` builds from the sample's
       edge lengths, as for :func:`maximize`.  In base vertex order their
@@ -408,9 +403,9 @@ def scan_segment(
     for k in range(N + 1):
         ranked[k] = _certified(frames, *lengths(k), n)
         if ranked[k] is None:
-            run_dd(0, N > 1)
-            run_dd(N, N > 1)
-            fill(0, N)
+            for end in sorted({k, N}):
+                run_dd(end, N - k > 1)
+            fill(k, N)
             break
 
     ts = [Fraction(k, N) for k in range(N + 1)]

@@ -16,14 +16,15 @@ Every double description, of a polytope or of the packing down-closure,
 goes through :func:`_cone_rays`, which alone fixes the row insertion order.
 
 Adjacency is decided on bits, by one test shared by double description and
-the edges of :func:`enumerate_vertices`.  Tight sets are bitmasks over rows;
-their transpose holds, per row, the bitmask of the positions tight on it.
-Two positions are adjacent exactly when the AND of the transposed masks of
-their common rows, started from the mask of all live positions, leaves only
-the pair.  Double description keeps the transpose up to date as it inserts
-rows, and keeps, per positive ray, the last third ray that proved a pair
-non-adjacent: one mask test with that witness settles a pair before any AND
-is taken (for the cube-4 packing polytope, 631 k of 1.26 M candidate pairs).
+``DelzantPolytope.frames``, which finds each vertex's neighbours with it.
+Tight sets are bitmasks over rows; their transpose holds, per row, the
+bitmask of the positions tight on it.  Two positions are adjacent exactly
+when the AND of the transposed masks of their common rows, started from
+the mask of all live positions, leaves only the pair.  Double description
+keeps the transpose up to date as it inserts rows, and keeps, per positive
+ray, the last third ray that proved a pair non-adjacent: one mask test with
+that witness settles a pair before any AND is taken (for the cube-4
+packing polytope, 631 k of 1.26 M candidate pairs).
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    IntVec,
-    Vec,
-    as_vec,
-    dot,
-    gcd_primitive,
-    rat,
-)
+from .linalg import IntVec, Vec, dot, gcd_primitive, rat
 
 
 class PolytopeError(ValueError):
@@ -106,20 +100,6 @@ class HPolytope:
 def hpolytope(dim: int, rows) -> HPolytope:
     """Build an HPolytope from (normal, offset) pairs."""
     return HPolytope(dim, tuple(HalfSpace(n, o) for n, o in rows))
-
-
-@dataclass(frozen=True)
-class VertexData:
-    """What :func:`enumerate_vertices` returns, simple input or not.
-
-    ``incidence[k]`` is the sorted tuple of facet indices active at vertex k;
-    ``edges`` lists index pairs (i, j), i < j, whose common active set has
-    rank dim - 1.
-    """
-
-    vertices: tuple[Vec, ...]
-    incidence: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +360,6 @@ def _tight_vertices(P: HPolytope) -> tuple[tuple[Vec, ...], list[int]]:
     return tuple(v for v, _ in pairs), [m for _, m in pairs]
 
 
-def enumerate_vertices(P: HPolytope) -> VertexData:
-    """All vertices of a bounded polytope, lexicographically sorted, with
-    facet incidence and edges.  Raises on empty or unbounded input."""
-    verts, masks = _tight_vertices(P)
-    return VertexData(
-        verts, tuple(map(_bits, masks)), tuple(_edges_from_masks(P.dim, masks))
-    )
-
-
-def _edges_from_masks(n: int, masks: list[int]) -> list[tuple[int, int]]:
-    """Vertex pairs (i, j) sharing at least n - 1 facets whose common facets
-    contain no third vertex; ``masks`` holds each vertex's facets as a
-    bitmask.  Those facets cut out the smallest face holding both vertices;
-    with exactly two vertices it is the edge between them, whether or not
-    the polytope is simple.  The test is double description's adjacency
-    test, :func:`_third_positions`."""
-    cols = _tight_columns(masks)
-    alive = (1 << len(masks)) - 1
-    edges = []
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            common = mi & masks[j]
-            if common.bit_count() < n - 1:
-                continue
-            if not _third_positions(common, (1 << i) | (1 << j), cols, alive):
-                edges.append((i, j))
-    return edges
-
-
 def _reduce(P: HPolytope) -> tuple[HPolytope, tuple[Vec, ...], tuple[tuple[int, ...], ...]]:
     """Minimal H-representation of P, its sorted vertices and their facet
     incidence, from one enumeration of P; no edge is computed, since
@@ -446,20 +397,6 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, tuple[Vec, ...], tuple[tuple[int, 
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
     incidence = tuple(tuple(kept[i] for i in _bits(m) if i in kept) for m in masks)
     return reduced, verts, incidence
-
-
-def remove_redundant(P: HPolytope) -> HPolytope:
-    """Minimal H-representation: keep exactly the halfspaces supporting a
-    facet (a tight vertex set of affine rank dim - 1)."""
-    return _reduce(P)[0]
-
-
-def contains(P: HPolytope, x) -> bool:
-    """Closed membership test."""
-    pt = as_vec(x)
-    if len(pt) != P.dim:
-        raise ValueError("dimension mismatch")
-    return all(h.eval_at(pt) >= 0 for h in P.halfspaces)
 
 
 # ---------------------------------------------------------------------------

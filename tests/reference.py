@@ -50,10 +50,15 @@ homogenizes it; :func:`reference_edge_system` is the packing polytope from
 those edges, and :func:`packing_polytope_vertices` enumerates it.
 :func:`mat_rank` and :func:`affine_rank`, which the library no longer
 calls, serve the references here.
+
+The public names that no command reached have left the library for here,
+:func:`build_packing_polytope` as the oracle of the rows ``pack --json``
+prints; those that decide something do it by the library's private routes.
 """
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from toricpack.delzant import (
@@ -67,22 +72,21 @@ from toricpack.linalg import (
     _integer_rows,
     as_vec,
     bareiss,
+    common_denominator,
     dot,
     gcd_primitive,
     mat_det,
     nthroot_decimal,
-    primitive_direction,
     vec_add,
     vec_scale,
-    vec_sub,
 )
-from toricpack.packing import maximize
+from toricpack.packing import _half_open_disjoint, admissible_simplex, maximize
 from toricpack.perturb import (
     PerturbationError,
     ScanError,
     ScanResult,
+    _homothetic,
     compare_root_midpoint,
-    is_homothetic,
     perturb,
 )
 from toricpack.polytope import (
@@ -92,13 +96,15 @@ from toricpack.polytope import (
     HPolytope,
     PolytopeError,
     UnboundedPolytopeError,
+    _bits,
     _cone_rays,
     _homogenized_rows,
     _insertion_order,
     _LowRankCone,
     _reduce,
     _third_positions,
-    enumerate_vertices,
+    _tight_columns,
+    _tight_vertices,
     vertex_set,
 )
 
@@ -130,6 +136,68 @@ def affine_rank(points) -> int:
         return -1
     base = points[0]
     return mat_rank([vec_sub(p, base) for p in points[1:]])
+
+
+def vec_sub(a, b) -> Vec:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def primitive_direction(d) -> tuple:
+    """Write a nonzero rational vector as t * u with u primitive integral, t > 0."""
+    ints, denom = common_denominator(d)
+    u, g = gcd_primitive(ints)
+    return u, Fraction(g, denom)
+
+
+def rational_length(a, b) -> Fraction:
+    """Lattice length of the segment from a to b: the t > 0 with
+    b - a = t * u for primitive integral u."""
+    return primitive_direction(vec_sub(as_vec(b), as_vec(a)))[1]
+
+
+def contains(P: HPolytope, x) -> bool:
+    """Closed membership test."""
+    pt = as_vec(x)
+    if len(pt) != P.dim:
+        raise ValueError("dimension mismatch")
+    return all(h.eval_at(pt) >= 0 for h in P.halfspaces)
+
+
+VertexData = namedtuple("VertexData", "vertices incidence edges")
+
+
+def enumerate_vertices(P: HPolytope) -> VertexData:
+    """The vertices of a bounded polytope, simple or not, with the incidence
+    read off double description's tight sets; the edges are the pairs that
+    share at least dim - 1 facets on which no third vertex lies, by the
+    library's adjacency test.  Raises on empty or unbounded input."""
+    verts, masks = _tight_vertices(P)
+    cols = _tight_columns(masks)
+    alive = (1 << len(masks)) - 1
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(masks)), 2)
+        if (masks[i] & masks[j]).bit_count() >= P.dim - 1
+        and not _third_positions(masks[i] & masks[j], (1 << i) | (1 << j), cols, alive)
+    ]
+    return VertexData(verts, tuple(map(_bits, masks)), tuple(edges))
+
+
+def remove_redundant(P: HPolytope) -> HPolytope:
+    """The library's minimal H-representation, ``_reduce(P)[0]``."""
+    return _reduce(P)[0]
+
+
+def is_homothetic(D1: DelzantPolytope, D2: DelzantPolytope) -> bool:
+    """Exact test for D2 = lam * D1 + v with rational lam > 0."""
+    if D1.dim != D2.dim:
+        raise ValueError("dimension mismatch")
+    return _homothetic(D1.dim, D1.euclidean_volume, D2.euclidean_volume, D1.vertices, D2.vertices)
+
+
+def simplices_disjoint(D: DelzantPolytope, i: int, xi, j: int, xj) -> bool:
+    """Exact disjointness of two half-open admissible simplices."""
+    return _half_open_disjoint(admissible_simplex(D, i, xi), admissible_simplex(D, j, xj))
 
 
 def brute_force_vertex_set(P: HPolytope) -> tuple:
@@ -535,6 +603,15 @@ def reference_packing_rows(V: int, bounds, radii=None) -> HPolytope:
         normal = tuple(-int(k == i) - int(k == j) for k in range(V))
         rows.append(HalfSpace(normal, -b))
     return HPolytope(V, tuple(rows))
+
+
+def build_packing_polytope(D: DelzantPolytope) -> HPolytope:
+    """The full packing system: x_i >= 0 for each vertex, then
+    x_i + x_j <= pair_bounds[i][j] for every pair i < j in lexicographic
+    order, the rows that ``pack --json`` prints."""
+    b = D.pair_bounds
+    pairs = itertools.combinations(range(D.num_vertices), 2)
+    return reference_packing_rows(D.num_vertices, [(i, j, b[i][j]) for i, j in pairs])
 
 
 def reference_edge_system(D: DelzantPolytope) -> HPolytope:

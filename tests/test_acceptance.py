@@ -9,8 +9,13 @@ import itertools
 import time
 from fractions import Fraction
 
-import pytest
-from reference import packing_polytope_vertices, vertex_affinity_holds
+from reference import (
+    build_packing_polytope,
+    contains,
+    packing_polytope_vertices,
+    simplices_disjoint,
+    vertex_affinity_holds,
+)
 
 from toricpack.delzant import (
     make_chopped_simplex,
@@ -18,19 +23,12 @@ from toricpack.delzant import (
     make_product,
     make_simplex,
 )
-from toricpack.packing import (
-    build_packing_polytope,
-    density,
-    disjointness_oracle,
-    maximize,
-    simplices_disjoint,
-)
+from toricpack.packing import density, disjointness_oracle, maximize
 from toricpack.perturb import (
     is_admissible,
     safe_radius_estimate,
     scan_segment,
 )
-from toricpack.polytope import contains
 
 F = Fraction
 

@@ -349,15 +349,10 @@ class TestPack:
 
     def test_text_builds_no_packing_polytope(self, square_spec, capsys, monkeypatch):
         # Text mode prints the density and the maximizers only; the packing
-        # polytope is built for the JSON report alone.
+        # polytope's rows are written for the JSON report alone.
         calls = []
-        original = jsonio.build_packing_polytope
-
-        def counted(D):
-            calls.append(D)
-            return original(D)
-
-        monkeypatch.setattr(jsonio, "build_packing_polytope", counted)
+        original = jsonio._packing_rows
+        monkeypatch.setattr(jsonio, "_packing_rows", lambda D: calls.append(D) or original(D))
         assert run(capsys, "pack", str(square_spec)) == (
             0, "square: max density 1 (2 maximal packing(s))\n  0 1 1 0\n", ""
         )

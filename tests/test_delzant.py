@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from reference import brute_force_edges, reference_validate_reduced, reference_volume, same_fan
+from reference import (
+    brute_force_edges,
+    rational_length,
+    reference_validate_reduced,
+    reference_volume,
+    same_fan,
+)
 from test_packing import BASES as OFFSET_BASES
 from test_packing import admissible_offsets
 
@@ -15,7 +21,6 @@ from toricpack.delzant import (
     make_cube,
     make_product,
     make_simplex,
-    rational_length,
     scale,
     translate,
     validate_delzant,

@@ -9,13 +9,12 @@ empty inputs.
 import random
 from fractions import Fraction
 
-from reference import brute_force_vertex_set
+from reference import brute_force_vertex_set, build_packing_polytope, contains
 from toricpack.delzant import make_simplex
-from toricpack.packing import build_packing_polytope, disjointness_oracle
+from toricpack.packing import disjointness_oracle
 from toricpack.polytope import (
     EmptyPolytopeError,
     HPolytope,
-    contains,
     hpolytope,
     vertex_set,
 )

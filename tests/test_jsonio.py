@@ -2,7 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from reference import build_packing_polytope
+from test_packing import BASES, admissible_offsets
 
+from toricpack.delzant import make_chopped_simplex, make_cube
 from toricpack.jsonio import (
     SpecFileError,
     dumps,
@@ -16,7 +20,7 @@ from toricpack.jsonio import (
     spec_file_document,
 )
 from toricpack.packing import maximize
-from toricpack.perturb import scan_segment
+from toricpack.perturb import perturb, scan_segment
 
 F = Fraction
 
@@ -149,3 +153,26 @@ class TestReports:
         doc1 = info_report(square)
         doc2 = info_report(square)
         assert dumps(doc1) == dumps(doc2)
+
+
+ROW_CASES = dict(BASES, cube5=make_cube(5), chopped5=make_chopped_simplex(F(1, 10), F(1, 5), 5))
+
+
+class TestPackingRows:
+    """``pack --json`` writes the packing polytope's rows straight from the
+    pair bounds: the full system built as halfspaces, in its order."""
+
+    @staticmethod
+    def check(D):
+        rows = pack_report(D, *maximize(D))["packing_polytope"]
+        assert rows == hrep_to_json(build_packing_polytope(D))
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_polytopes(self, name):
+        self.check(ROW_CASES[name])
+
+    @given(admissible_offsets({name: BASES[name] for name in ("pentagon", "cube3")}))
+    @settings(max_examples=25, deadline=None)
+    def test_offsets(self, drawn):
+        name, s = drawn
+        self.check(perturb(BASES[name], s))

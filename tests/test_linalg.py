@@ -12,6 +12,7 @@ from reference import (
     affine_rank,
     greedy_row_basis,
     mat_rank,
+    primitive_direction,
     solve_linear,
 )
 from toricpack.linalg import (
@@ -22,7 +23,6 @@ from toricpack.linalg import (
     mat_det,
     nthroot_bounds,
     nthroot_decimal,
-    primitive_direction,
     rat,
     rational_nthroot,
 )

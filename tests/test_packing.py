@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
+    build_packing_polytope,
+    contains,
+    enumerate_vertices,
     packing_polytope_vertices,
     reference_edge_system,
     reference_maximal_rays,
@@ -21,14 +24,13 @@ from toricpack.packing import (
     _maximal_rays,
     _ranked,
     admissible_simplex,
-    build_packing_polytope,
     density,
     disjointness_oracle,
     maximize,
     realize,
 )
 from toricpack.perturb import perturb, safe_radius_estimate
-from toricpack.polytope import contains, enumerate_vertices, vertex_set
+from toricpack.polytope import vertex_set
 
 F = Fraction
 
@@ -212,8 +214,6 @@ class TestMaximize:
                 assert all(c <= r for c, r in zip(v, D.corner_radii))
 
     def test_strict_convexity_at_edge_midpoints(self, square, simplex2, rectangle):
-        from toricpack.polytope import enumerate_vertices
-
         for D in (square, simplex2, rectangle):
             best, _ = maximize(D)
             vd = enumerate_vertices(build_packing_polytope(D))

@@ -14,6 +14,8 @@ from reference import (
     affine_rank,
     brute_force_edges,
     brute_force_vertex_set,
+    contains,
+    enumerate_vertices,
     mat_rank,
     reference_dd_rays,
     reference_edge_system,
@@ -21,6 +23,7 @@ from reference import (
     reference_polytope_rays,
     reference_remove_redundant,
     reference_volume,
+    remove_redundant,
 )
 from test_linalg import low_rank_matrices
 from toricpack.delzant import (
@@ -45,11 +48,8 @@ from toricpack.polytope import (
     _LowRankCone,
     _polytope_rays,
     _reduce,
-    contains,
-    enumerate_vertices,
     hpolytope,
     intersect,
-    remove_redundant,
     vertex_set,
 )
 
