@@ -24,7 +24,6 @@ from .linalg import (
     Rational,
     format_rat,
     gcd_primitive,
-    mat_det,
     rat,
 )
 from .packing import (
@@ -54,8 +53,6 @@ from .polytope import (
     PolytopeError,
     UnboundedPolytopeError,
     hpolytope,
-    intersect,
-    vertex_set,
 )
 
 __version__ = "0.1.0"
@@ -83,13 +80,11 @@ __all__ = [
     "format_rat",
     "gcd_primitive",
     "hpolytope",
-    "intersect",
     "is_admissible",
     "make_chopped_simplex",
     "make_cube",
     "make_product",
     "make_simplex",
-    "mat_det",
     "maximize",
     "perturb",
     "rat",
@@ -99,5 +94,4 @@ __all__ = [
     "scan_segment",
     "translate",
     "validate_delzant",
-    "vertex_set",
 ]

@@ -25,7 +25,6 @@ from .linalg import (
     common_denominator,
     dot,
     gcd_primitive,
-    mat_det,
     rat,
 )
 from .polytope import (
@@ -210,7 +209,8 @@ def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
 
     The elimination holds det N_I^-1 on the right, so det times its column
     k is a positive multiple of the edge along u_k: a failing vertex
-    reports the determinant of their primitive forms.
+    reports the determinant of their primitive forms: they are independent,
+    so it is the last pivot of their fraction-free elimination.
     """
     n = reduced.dim
     unit = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -225,7 +225,7 @@ def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
         if det not in (1, -1):
             prim = [gcd_primitive(c)[0] for c in cols]
             raise NotDelzantError(
-                f"not unimodular at vertex {i} (det = {mat_det(prim)})"
+                f"not unimodular at vertex {i} (det = {bareiss(prim)[2]})"
             )
         dirs.append(cols)
     return DelzantPolytope(reduced, verts, incidence, tuple(dirs))

@@ -105,28 +105,6 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
     return a, pivots, d
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    scales."""
-    out = []
-    scale = 1
-    for r in rows:
-        ints, m = common_denominator(map(rat, r))
-        out.append(ints)
-        scale *= m
-    return out, scale
-
-
-def mat_det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    a, scale = _integer_rows(rows)
-    _, pivots, d = bareiss(a)
-    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
-
-
 def floor_nthroot(m: int, n: int) -> int:
     """Largest integer r with r**n <= m (m >= 0)."""
     if m < 0 or n < 1:
@@ -156,15 +134,6 @@ def rational_nthroot(q: Fraction, n: int) -> Fraction | None:
     if p**n == q.numerator and s**n == q.denominator:
         return Fraction(p, s)
     return None
-
-
-def nthroot_bounds(q: Fraction, n: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure [lo, hi] of q**(1/n) with hi - lo <= 10**-digits."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    scale = 10**digits
-    lo_int = _floor_root_scaled(q, n, digits)
-    return Fraction(lo_int, scale), Fraction(lo_int + 1, scale)
 
 
 def _floor_root_scaled(q: Fraction, n: int, k: int) -> int:

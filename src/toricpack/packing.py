@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .delzant import DelzantPolytope
 from .linalg import IntVec, Vec, as_vec, common_denominator
-from .polytope import HalfSpace, HPolytope, _cone_rays, intersect
+from .polytope import EmptyPolytopeError, HalfSpace, HPolytope, _cone_rays, _polytope_rays
 
 
 @dataclass(frozen=True)
@@ -285,18 +285,21 @@ def admissible_simplex(D: DelzantPolytope, i: int, radius) -> AdmissibleSimplex:
 
 
 def _half_open_disjoint(si: AdmissibleSimplex, sj: AdmissibleSimplex) -> bool:
-    """The closed hulls are intersected exactly; the half-open simplices are
-    disjoint iff the intersection is empty or lies inside the excluded
-    outer facet hyperplane of either simplex (a convex set contained in a
-    union of two hyperplanes lies in one of them)."""
-    overlap = intersect(si.hull, sj.hull)
-    if not overlap:
+    """The closed hulls are intersected exactly, by one double description
+    of their stacked rows; the half-open simplices are disjoint iff the
+    intersection is empty or lies inside the excluded outer facet hyperplane
+    of either simplex (a convex set contained in a union of two hyperplanes
+    lies in one of them).  It lies in that hyperplane exactly when every
+    vertex's tight set holds the facet's row."""
+    rows = si.hull.halfspaces + sj.hull.halfspaces
+    try:
+        _, masks, order = _polytope_rays(HPolytope(si.hull.dim, rows))
+    except EmptyPolytopeError:
         return True
-    for s in (si, sj):
-        h = s.hull.halfspaces[-1]
-        if all(h.eval_at(v) == 0 for v in overlap):
-            return True
-    return False
+    # Row r > 0 of the homogenized system is halfspace r - 1; each hull's
+    # outer facet is its last.
+    outer = (len(si.hull.halfspaces), len(rows))
+    return any(all(m >> order.index(r) & 1 for m in masks) for r in outer)
 
 
 def disjointness_oracle(D: DelzantPolytope, x) -> bool:

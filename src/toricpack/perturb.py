@@ -31,10 +31,10 @@ from .delzant import (
 from .linalg import (
     IntVec,
     Vec,
+    _floor_root_scaled,
     as_vec,
     common_denominator,
     dot,
-    nthroot_bounds,
     nthroot_decimal,
     rational_nthroot,
     vec_add,
@@ -177,7 +177,11 @@ def compare_root_midpoint(mid: Fraction, left: Fraction, right: Fraction, n: int
     If left/mid and right/mid are both rational n-th powers the comparison
     is rational.  Otherwise the two sides differ (incommensurable radicals
     over Q cannot cancel against 2*mid^(1/n)), and adaptive-precision
-    integer root bounds settle the sign.
+    integer root bounds settle the sign.  At prec digits let a, b and c be
+    the floors of 10^prec times mid^(1/n), left^(1/n) and right^(1/n).
+    Each scaled root lies in [floor, floor + 1), so 10^prec times the
+    difference is less than 2 from 2a - b - c and has its sign once
+    |2a - b - c| > 2.  prec starts at 30 digits and doubles, up to 4000.
     """
     if mid <= 0 or left <= 0 or right <= 0:
         raise ValueError("root comparison requires positive values")
@@ -191,32 +195,11 @@ def compare_root_midpoint(mid: Fraction, left: Fraction, right: Fraction, n: int
         return (diff > 0) - (diff < 0)
     prec = 30
     while prec <= 4000:
-        lo_m, hi_m = nthroot_bounds(mid, n, prec)
-        lo_l, hi_l = nthroot_bounds(left, n, prec)
-        lo_r, hi_r = nthroot_bounds(right, n, prec)
-        if 2 * lo_m - hi_l - hi_r > 0:
-            return 1
-        if 2 * hi_m - lo_l - lo_r < 0:
-            return -1
+        a, b, c = (_floor_root_scaled(q, n, prec) for q in (mid, left, right))
+        if abs(2 * a - b - c) > 2:
+            return 1 if 2 * a > b + c else -1
         prec *= 2
     raise ArithmeticError("root comparison did not separate")
-
-
-def _homothetic(n: int, vol1: Fraction, vol2: Fraction, verts1, verts2) -> bool:
-    """Whether the polytope with vertices verts2 and volume vol2 is
-    lam * P1 + v for the polytope P1 with vertices verts1 and volume vol1.
-
-    With rational vertex data any homothety ratio is rational, so lam must
-    be the rational n-th root of the volume ratio; the translation is fixed
-    by the lexicographically smallest vertices and verified on the full
-    vertex sets.
-    """
-    lam = rational_nthroot(vol2 / vol1, n)
-    if lam is None:
-        return False
-    v = tuple(b - lam * a for a, b in zip(min(verts1), min(verts2)))
-    mapped = {vec_add(vec_scale(lam, w), v) for w in verts1}
-    return mapped == set(verts2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +243,8 @@ def scan_segment(
     description runs instead once per chamber of the packing down-closure,
     not once per sample.  Certificates: midpoint concavity of vol^(1/n)
     over the whole segment and midpoint convexity of omega^(1/n) for
-    triples within [0, 1/4], all in exact arithmetic.
+    triples within [0, 1/4], all in exact arithmetic.  The ends are
+    homothetic when their edge lengths are proportional.
 
     Why this gives what per-sample validation and :func:`maximize` give:
 
@@ -318,6 +302,15 @@ def scan_segment(
       :func:`maximize` does; both are symmetric in the coordinates, so
       numbering the vertices in base order rather than in the member's
       lexicographic order changes neither.
+    - Homothety.  D(1) = lam D(0) + v with lam > 0 exactly when every edge
+      length at t = 1 is lam times its length at t = 0.  Such a homothety
+      keeps the fan, so it maps the vertex on facets I to the vertex on I
+      and each edge v_j - v_i = l d to lam l d.  Conversely, with
+      v = v_0(1) - lam v_0(0), each edge from i to j along d gives
+      v_j(1) - v_i(1) = lam l d = lam (v_j(0) - v_i(0)), so
+      v_i(1) = lam v_i(0) + v spreads along the connected edge graph to
+      every vertex.  Both ends' lengths are positive numerators over one
+      denominator, so proportional numerators give lam > 0.
     """
     if samples < 1:
         raise ValueError("need at least one subdivision")
@@ -408,6 +401,7 @@ def scan_segment(
             fill(k, N)
             break
 
+    num0, numN = lengths(0)[0], lengths(N)[0]
     ts = [Fraction(k, N) for k in range(N + 1)]
     vols = [_brion_volume(n, denoms, *heights(k)) for k in range(N + 1)]
     omegas = [ranked[k][0] / (math.factorial(n) * vols[k]) for k in range(N + 1)]
@@ -434,7 +428,7 @@ def scan_segment(
         vol_root_strictly_concave_somewhere=any(c > 0 for c in vol_cmps),
         vol_root_all_midpoints_equal=all(c == 0 for c in vol_cmps),
         omega_root_midpoint_convex_near_zero=all(c <= 0 for c in near_zero),
-        endpoints_homothetic=_homothetic(n, vols[0], vols[-1], moved0, moved1),
+        endpoints_homothetic=all(x * numN[0] == y * num0[0] for x, y in zip(num0, numN)),
     )
 
 

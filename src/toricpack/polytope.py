@@ -337,15 +337,6 @@ def _vertex(ray: IntVec) -> Vec:
     return tuple(Fraction(c, ray[0]) for c in ray[1:])
 
 
-def vertex_set(P: HPolytope) -> tuple[Vec, ...]:
-    """All vertices of a bounded polytope, lexicographically sorted.
-
-    Raises on empty or unbounded input.  Use this when the combinatorial
-    structure is not needed: it skips mapping the tight sets to halfspaces.
-    """
-    return tuple(sorted(map(_vertex, _polytope_rays(P)[0])))
-
-
 def _tight_vertices(P: HPolytope) -> tuple[tuple[Vec, ...], list[int]]:
     """The vertices of a bounded polytope, lexicographically sorted, and
     beside each its tight set: the bitmask of the halfspaces it lies on,
@@ -397,18 +388,3 @@ def _reduce(P: HPolytope) -> tuple[HPolytope, tuple[Vec, ...], tuple[tuple[int, 
     reduced = HPolytope(P.dim, tuple(P.halfspaces[i] for i in kept))
     incidence = tuple(tuple(kept[i] for i in _bits(m) if i in kept) for m in masks)
     return reduced, verts, incidence
-
-
-# ---------------------------------------------------------------------------
-# Intersection.
-
-
-def intersect(P: HPolytope, Q: HPolytope) -> tuple[Vec, ...]:
-    """The vertices of the intersection of two polytopes of the same ambient
-    dimension, lexicographically sorted; () when it is empty."""
-    if P.dim != Q.dim:
-        raise ValueError("ambient dimension mismatch")
-    try:
-        return vertex_set(HPolytope(P.dim, P.halfspaces + Q.halfspaces))
-    except EmptyPolytopeError:
-        return ()

@@ -54,11 +54,21 @@ calls, serve the references here.
 The public names that no command reached have left the library for here,
 :func:`build_packing_polytope` as the oracle of the rows ``pack --json``
 prints; those that decide something do it by the library's private routes.
+
+Wrappers with one caller in the library were folded into that caller, and
+the routes they gave are kept here as the oracles of their replacements:
+:func:`intersect` and :func:`vertex_set` (with
+:func:`reference_half_open_disjoint`) for the disjointness test on tight
+sets, :func:`mat_det` for the determinant the Delzant check reports,
+:func:`nthroot_bounds` (with :func:`reference_compare_root_midpoint`) for
+the root comparison on integer floors, and :func:`_homothetic` for a
+scan's homothety test on edge lengths.
 """
 
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 
 from toricpack.delzant import (
@@ -69,24 +79,23 @@ from toricpack.delzant import (
 )
 from toricpack.linalg import (
     Vec,
-    _integer_rows,
+    _floor_root_scaled,
     as_vec,
     bareiss,
     common_denominator,
     dot,
     gcd_primitive,
-    mat_det,
     nthroot_decimal,
+    rat,
+    rational_nthroot,
     vec_add,
     vec_scale,
 )
-from toricpack.packing import _half_open_disjoint, admissible_simplex, maximize
+from toricpack.packing import AdmissibleSimplex, _half_open_disjoint, admissible_simplex, maximize
 from toricpack.perturb import (
     PerturbationError,
     ScanError,
     ScanResult,
-    _homothetic,
-    compare_root_midpoint,
     perturb,
 )
 from toricpack.polytope import (
@@ -104,9 +113,119 @@ from toricpack.polytope import (
     _reduce,
     _third_positions,
     _tight_columns,
+    _polytope_rays,
     _tight_vertices,
-    vertex_set,
+    _vertex,
 )
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    scales."""
+    out = []
+    scale = 1
+    for r in rows:
+        ints, m = common_denominator(map(rat, r))
+        out.append(ints)
+        scale *= m
+    return out, scale
+
+
+def mat_det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a square matrix")
+    a, scale = _integer_rows(rows)
+    _, pivots, d = bareiss(a)
+    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
+
+
+def nthroot_bounds(q: Fraction, n: int, digits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure [lo, hi] of q**(1/n) with hi - lo <= 10**-digits."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    scale = 10**digits
+    lo_int = _floor_root_scaled(q, n, digits)
+    return Fraction(lo_int, scale), Fraction(lo_int + 1, scale)
+
+
+def reference_compare_root_midpoint(mid: Fraction, left: Fraction, right: Fraction, n: int) -> int:
+    """Sign of 2*mid^(1/n) - left^(1/n) - right^(1/n), exactly, from
+    :func:`nthroot_bounds` enclosures at the library's precisions."""
+    if mid <= 0 or left <= 0 or right <= 0:
+        raise ValueError("root comparison requires positive values")
+    if n == 1:
+        diff = 2 * mid - left - right
+        return (diff > 0) - (diff < 0)
+    rl = rational_nthroot(left / mid, n)
+    rr = rational_nthroot(right / mid, n)
+    if rl is not None and rr is not None:
+        diff = 2 - rl - rr
+        return (diff > 0) - (diff < 0)
+    prec = 30
+    while prec <= 4000:
+        lo_m, hi_m = nthroot_bounds(mid, n, prec)
+        lo_l, hi_l = nthroot_bounds(left, n, prec)
+        lo_r, hi_r = nthroot_bounds(right, n, prec)
+        if 2 * lo_m - hi_l - hi_r > 0:
+            return 1
+        if 2 * hi_m - lo_l - lo_r < 0:
+            return -1
+        prec *= 2
+    raise ArithmeticError("root comparison did not separate")
+
+
+def vertex_set(P: HPolytope) -> tuple[Vec, ...]:
+    """All vertices of a bounded polytope, lexicographically sorted.
+
+    Raises on empty or unbounded input.  Use this when the combinatorial
+    structure is not needed: it skips mapping the tight sets to halfspaces.
+    """
+    return tuple(sorted(map(_vertex, _polytope_rays(P)[0])))
+
+
+def intersect(P: HPolytope, Q: HPolytope) -> tuple[Vec, ...]:
+    """The vertices of the intersection of two polytopes of the same ambient
+    dimension, lexicographically sorted; () when it is empty."""
+    if P.dim != Q.dim:
+        raise ValueError("ambient dimension mismatch")
+    try:
+        return vertex_set(HPolytope(P.dim, P.halfspaces + Q.halfspaces))
+    except EmptyPolytopeError:
+        return ()
+
+
+def reference_half_open_disjoint(si: AdmissibleSimplex, sj: AdmissibleSimplex) -> bool:
+    """The closed hulls are intersected exactly; the half-open simplices are
+    disjoint iff the intersection is empty or lies inside the excluded
+    outer facet hyperplane of either simplex (a convex set contained in a
+    union of two hyperplanes lies in one of them)."""
+    overlap = intersect(si.hull, sj.hull)
+    if not overlap:
+        return True
+    for s in (si, sj):
+        h = s.hull.halfspaces[-1]
+        if all(h.eval_at(v) == 0 for v in overlap):
+            return True
+    return False
+
+
+def _homothetic(n: int, vol1: Fraction, vol2: Fraction, verts1, verts2) -> bool:
+    """Whether the polytope with vertices verts2 and volume vol2 is
+    lam * P1 + v for the polytope P1 with vertices verts1 and volume vol1.
+
+    With rational vertex data any homothety ratio is rational, so lam must
+    be the rational n-th root of the volume ratio; the translation is fixed
+    by the lexicographically smallest vertices and verified on the full
+    vertex sets.
+    """
+    lam = rational_nthroot(vol2 / vol1, n)
+    if lam is None:
+        return False
+    v = tuple(b - lam * a for a, b in zip(min(verts1), min(verts2)))
+    mapped = {vec_add(vec_scale(lam, w), v) for w in verts1}
+    return mapped == set(verts2)
 
 
 class SingularMatrixError(ValueError):
@@ -561,11 +680,11 @@ def reference_scan_segment(
         counts.append(len(packs))
 
     vol_cmps = [
-        compare_root_midpoint(vols[k], vols[k - 1], vols[k + 1], n)
+        reference_compare_root_midpoint(vols[k], vols[k - 1], vols[k + 1], n)
         for k in range(1, samples)
     ]
     near_zero = [
-        compare_root_midpoint(omegas[k], omegas[k - 1], omegas[k + 1], n)
+        reference_compare_root_midpoint(omegas[k], omegas[k - 1], omegas[k + 1], n)
         for k in range(1, samples)
         if Fraction(k + 1, samples) <= Fraction(1, 4)
     ]

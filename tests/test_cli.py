@@ -84,6 +84,22 @@ class TestFamily:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("chopped_simplex", "1/2", "1/2", "3"),
+             "chop parameters give an invalid polytope: not simple at vertex 6"),
+            (("chopped_simplex", "1", "0"), "chop depth must be less than 1"),
+            (("simplex", "2", "0"), "scale must be positive"),
+            (("cube", "2", "0"), "scale must be positive"),
+            (("scale", "cube:2", "0"), "scale factor must be positive"),
+        ],
+    )
+    def test_generator_domain_error_named(self, capsys, args, message):
+        code, out, err = run(capsys, "family", *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_chopped_simplex_dimension_named(self, capsys, n):
         code, out, err = run(capsys, "family", "chopped_simplex", "1/10", "1/10", n)
@@ -257,6 +273,11 @@ class TestValidate:
             ("cube", ["1_0"], "args[0] must be an integer, got '1_0'"),
             ("cube", ["2_0"], "args[0] must be an integer, got '2_0'"),
             ("cube", [" 2"], "args[0] must be an integer, got ' 2'"),
+            ("cube", [], "cube takes: n [scale]"),
+            ("cube", [2, 1, 1], "cube takes: n [scale]"),
+            ("chopped_simplex", ["1/10"], "chopped_simplex takes: eps1 eps2 [n]"),
+            ("chopped_simplex", ["1/10", "1/10", 2, 2], "chopped_simplex takes: eps1 eps2 [n]"),
+            ("scale", ["cube:2"], "scale takes: spec lam"),
         ],
     )
     def test_generator_arg_refused(self, tmp_path, capsys, generator, args, message):

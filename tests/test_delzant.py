@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from reference import (
     brute_force_edges,
+    mat_det,
     rational_length,
     reference_validate_reduced,
     reference_volume,
@@ -26,7 +27,7 @@ from toricpack.delzant import (
     validate_delzant,
 )
 from toricpack.jsonio import info_report
-from toricpack.linalg import mat_det, vec_add, vec_scale
+from toricpack.linalg import vec_add, vec_scale
 from toricpack.perturb import is_admissible, perturb, safe_radius_estimate
 from toricpack.polytope import _reduce, hpolytope
 
@@ -317,6 +318,14 @@ class TestGenerators:
             make_chopped_simplex(F(3, 4), F(1, 2))
         with pytest.raises(ValueError):
             make_chopped_simplex(F(-1, 10), F(1, 10))
+        with pytest.raises(ValueError, match="^chop depth must be less than 1$"):
+            make_chopped_simplex(1, 0)
+        # In three dimensions, chops of depth 1/2 at e_1 and e_2 meet on the
+        # edge between them, at (1/2, 1/2, 0) on four facets.
+        with pytest.raises(
+            ValueError, match="^chop parameters give an invalid polytope: not simple at vertex 6$"
+        ):
+            make_chopped_simplex(F(1, 2), F(1, 2), 3)
 
     def test_full_depth_chops_merge(self):
         # eps1 + eps2 = 1 merges the two cut corners into one vertex.

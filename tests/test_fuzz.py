@@ -9,14 +9,13 @@ empty inputs.
 import random
 from fractions import Fraction
 
-from reference import brute_force_vertex_set, build_packing_polytope, contains
+from reference import brute_force_vertex_set, build_packing_polytope, contains, vertex_set
 from toricpack.delzant import make_simplex
 from toricpack.packing import disjointness_oracle
 from toricpack.polytope import (
     EmptyPolytopeError,
     HPolytope,
     hpolytope,
-    vertex_set,
 )
 
 F = Fraction

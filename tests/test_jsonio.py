@@ -103,6 +103,11 @@ class TestSpecDocuments:
         with pytest.raises(SpecFileError):
             load_spec_document({"name": "nothing"})
 
+    @pytest.mark.parametrize("doc", [[], [{"generator": "cube", "args": [2]}], "cube", 2, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(SpecFileError, match="^spec document must be a JSON object$"):
+            load_spec_document(doc)
+
     def test_unknown_generator(self):
         with pytest.raises(SpecFileError, match="unknown generator"):
             generator_polytope("orb", ["1"])

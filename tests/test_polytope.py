@@ -16,6 +16,7 @@ from reference import (
     brute_force_vertex_set,
     contains,
     enumerate_vertices,
+    intersect,
     mat_rank,
     reference_dd_rays,
     reference_edge_system,
@@ -24,6 +25,7 @@ from reference import (
     reference_remove_redundant,
     reference_volume,
     remove_redundant,
+    vertex_set,
 )
 from test_linalg import low_rank_matrices
 from toricpack.delzant import (
@@ -49,8 +51,6 @@ from toricpack.polytope import (
     _polytope_rays,
     _reduce,
     hpolytope,
-    intersect,
-    vertex_set,
 )
 
 F = Fraction
@@ -120,6 +120,19 @@ class TestHalfSpace:
     def test_zero_normal(self):
         with pytest.raises(ValueError):
             HalfSpace((0, 0), 1)
+
+    @pytest.mark.parametrize("normal", [(F(1, 2), 1), (1.5, 0)])
+    def test_non_integer_normal(self, normal):
+        with pytest.raises(ValueError, match="^normal entries must be integers$"):
+            HalfSpace(normal, 0)
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [(0, "dimension must be >= 1"), (3, "halfspace dimension mismatch")],
+    )
+    def test_polytope_checks(self, dim, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HPolytope(dim, unit_square().halfspaces)
 
 
 class TestEnumerate:
@@ -684,7 +697,9 @@ class TestOneEnumeration:
             seen.append(P)
             return original(P)
 
-        monkeypatch.setattr(toricpack.polytope, "_polytope_rays", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toricpack") and getattr(module, "_polytope_rays", None) is original:
+                monkeypatch.setattr(module, "_polytope_rays", counted)
         return seen
 
     def test_validate_delzant(self, pentagon, enumerated):
@@ -701,8 +716,11 @@ class TestOneEnumeration:
         assert len(enumerated) == 1
 
     def test_intersect(self, enumerated):
-        Q = hpolytope(
-            2, [((1, 0), F(1, 2)), ((0, 1), 0), ((-1, 0), F(-3, 2)), ((0, -1), -1)]
-        )
-        assert affine_rank(intersect(unit_square(), Q)) == 2
-        assert len(enumerated) == 1
+        # The disjointness oracle intersects each pair of simplices by one
+        # enumeration of their stacked hulls.
+        D = make_cube(3)
+        for x in [p.radii for p in maximize(D)[1]] + [(F(1, 2),) * 8, (F(1, 3),) * 8]:
+            k = sum(c > 0 for c in x)
+            enumerated.clear()
+            assert disjointness_oracle(D, x)
+            assert len(enumerated) == k * (k - 1) // 2
