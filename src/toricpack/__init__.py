@@ -21,7 +21,6 @@ from .delzant import (
     validate_delzant,
 )
 from .linalg import (
-    Rational,
     format_rat,
     gcd_primitive,
     rat,
@@ -68,7 +67,6 @@ __all__ = [
     "Packing",
     "PerturbationError",
     "PolytopeError",
-    "Rational",
     "ScanError",
     "ScanResult",
     "UnboundedPolytopeError",

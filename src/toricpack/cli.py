@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 domain validation failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .jsonio import (
@@ -36,6 +37,12 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage problems to exit code 1
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # Pass a negative rational such as -1/10 on, as argparse does "-2".
+        if re.fullmatch(r"-[0-9]+/[0-9]+", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit(text: str, path: str | None) -> None:

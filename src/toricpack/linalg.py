@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 IntVec = tuple[int, ...]
 Vec = tuple[Fraction, ...]
 

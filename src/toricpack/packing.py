@@ -9,20 +9,15 @@ vertices and the maximizers are finitely many.  Only the edges of D bind,
 so no route here builds the V + V(V-1)/2 rows of P; ``pack --json``
 prints them straight from ``pair_bounds``.
 
-The maximizers are found without enumerating P.  First an edge-block
-bound, :func:`_certified`: split the vertices into single vertices and
-matched edges of D, bound the density on each block by its own system,
-and when some product of block maximizers is a packing, the bound is the
-maximum and those products are all the maximizers.  This settles cubes of
+The maximizers are found without enumerating P, by one routine,
+:func:`_maxima`, for :func:`maximize` and for every sample of an offset
+scan alike, reading the edge lengths in integers over a common
+denominator.  An edge-block bound, :func:`_certified`, settles cubes of
 every dimension and most members of their offset families in
-milliseconds.  When the bound is not reached: the density grows in every
-radius, so each maximizer is blocked: no radius can grow alone.  The
-blocked vertices of P are the vertices of its down-closure
-P - R^V_+ = {x_i <= r_i, x_i + x_j <= l_ij on the edges of D}, an
-unbounded polyhedron with far fewer vertices (42 against 743 for the
-4-cube), and double description enumerates that.  Both routes read the
-edge lengths in integers over a common denominator, for :func:`maximize`
-and for every sample of an offset scan alike.  A geometric disjointness
+milliseconds.  Where it is not reached, double description enumerates
+the down-closure P - R^V_+, an unbounded polyhedron with far fewer
+vertices (42 against 743 for the 4-cube), once per chamber along a scan;
+:func:`maximize` proves both routes.  A geometric disjointness
 oracle, :func:`disjointness_oracle`, intersects the realized simplices
 pairwise in exact arithmetic, an independent cross-check of the pair
 bounds.
@@ -82,29 +77,30 @@ def _binding(frames, num: list[int]) -> tuple[list[int], list[tuple[int, int, in
     return r, edges
 
 
-def _maximal_rays(frames, num: list[int], q: int) -> list[IntVec]:
+def _maximal_rays(r: list[int], edges: list[tuple[int, int, int]], q: int) -> list[IntVec]:
     """Integer rays (x0; y), x0 > 0, of the homogenized down-closure of the
-    packing polytope with these frames' edges, one per vertex y / x0 of the
-    packing polytope at which no radius can grow alone; the recession rays
-    -e_i (x0 = 0) are left out.  The lengths are num / q, as for
-    :func:`_binding`, so :func:`maximize` and each scan sample pass their
-    own.  The rows are x0 >= 0, r_i x0 - q x_i >= 0, and
-    l x0 - q (x_i + x_j) >= 0 on each binding edge (i, j) in order; the
-    other edge rows are implied by x_i <= r_i.
+    packing polytope, one per vertex y / x0 of the packing polytope at which
+    no radius can grow alone; the recession rays -e_i (x0 = 0) are left
+    out.  The least lengths r and the binding edges are those of
+    :func:`_binding`, over the common denominator q.  The rows are
+    x0 >= 0, r_i x0 - q x_i >= 0, and l x0 - q (x_i + x_j) >= 0 on each
+    binding edge (i, j) in order; the other edge rows are implied by
+    x_i <= r_i.
     """
-    V = len(frames)
-    r, edges = _binding(frames, num)
+    V = len(r)
     rows = [(1,) + (0,) * V]
     rows += [(r[i],) + tuple(-q * (k == i) for k in range(V)) for i in range(V)]
     rows += [(t,) + tuple(-q * (k == i or k == j) for k in range(V)) for i, j, t in edges]
     return [ray for ray in _cone_rays(rows, V + 1)[0] if ray[0]]
 
 
-def _certified(frames, num: list[int], q: int, n: int) -> tuple[Fraction, list[IntVec]] | None:
-    """The largest sum(x_i^n) over the packing polytope with these frames'
-    edges, lengths num / q as for :func:`_maximal_rays`, and every x that
-    attains it as a ray (q; q x), in :func:`_ranked`'s format; None when
-    the edge-block bound below is not reached, or n = 1.
+def _certified(
+    r: list[int], edges: list[tuple[int, int, int]], q: int, n: int
+) -> tuple[Fraction, list[IntVec]] | None:
+    """The largest sum(x_i^n) over the packing polytope of :func:`_binding`'s
+    least lengths r and binding edges, over the common denominator q, and
+    every x that attains it as a ray (q; q x), in :func:`_ranked`'s format;
+    None when the edge-block bound below is not reached, or n = 1.
 
     Each binding edge (i, j, t) of :func:`_binding` is a candidate block:
     over 0 <= a <= r_i, 0 <= b <= r_j, a + b <= t the largest a^n + b^n is
@@ -118,8 +114,7 @@ def _certified(frames, num: list[int], q: int, n: int) -> tuple[Fraction, list[I
     """
     if n == 1:
         return None
-    V = len(frames)
-    r, edges = _binding(frames, num)
+    V = len(r)
     tops = {}
     for i, j, t in edges:
         corners = [(r[i], t - r[i]), (t - r[j], r[j])]
@@ -177,6 +172,105 @@ def _ranked(rays, n: int) -> tuple[Fraction, list[IntVec]]:
     return Fraction(top, bottom), argmax
 
 
+def _maxima(frames, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec]]]:
+    """The largest sum(x_i^n) over the packing polytope at each sample
+    k = 0..N, with the rays that attain it as for :func:`_ranked`.  Sample
+    k has these frames' edges, of lengths num / q for
+    ``lengths(k) = (num, q)`` as for :func:`_binding`, affine in k.
+
+    Each sample reads its binding edges once, for both routes.  The
+    samples are certified in order (:func:`_certified`; see
+    :func:`maximize`), and from the first that is not to the end, double
+    description of the down-closure (:func:`_maximal_rays`) runs once per
+    chamber, not once per sample.  Why the chambers give the rays that
+    double description gives at every sample:
+
+    - Keys.  Besides the rows of :func:`_maximal_rays`, the down-closure
+      is cut out by the fixed rows x_i <= l_ij and x_i + x_j <= l_ij, one
+      pair per edge slot (i, j) (r_i is the least l_ij at i, and a pair
+      row with l_ij >= r_i + r_j is implied), and each right-hand side is
+      affine in k.  At a sample whose keys are compared, each vertex is
+      keyed by its tight set on these rows as soon as double description
+      returns it.  Distinct vertices have distinct tight sets, since a
+      vertex is the only solution of its tight rows, so equal key sets
+      mean equal vertex counts.
+    - Equal families of tight sets at samples t_a < t_b give, at every t
+      in between, exactly the interpolated vertices with the same tight
+      sets.  Let y(t) interpolate the vertices of tight set T at t_a and
+      t_b.  Every slack at y(t) is affine in t: zero at both ends on T,
+      positive at both ends off T.  So y(t) is feasible and tight on
+      exactly T, whose rows have full rank: a vertex.  Its tangent cone
+      {d : A_T d <= 0} depends only on T.  So an edge of P(t) at y(t) leaves
+      along a ray that starts an edge at y(t_a) too, tight on the same rows
+      of T.  That edge is bounded, since the recession cone does not depend
+      on t; it reaches the vertex of some tight set T', and its rows
+      T & T' cut out a line.  At t, the face on T & T' holds the distinct
+      vertices y(t) and y'(t), so it is the edge between them: each edge
+      reaches the same neighbour at both ends and at t.  The interpolated
+      vertices thus form a component of the graph of bounded edges, which
+      is connected for a pointed polyhedron, so they are all the vertices.
+      Where the families differ, double description runs at the middle
+      sample and both halves recurse.
+    - The interpolated vertex of sample k between DD samples a < b, with
+      rays (x0a; ya) and (x0b; yb), is the integer ray
+      (q x0a x0b; (q - p) x0b ya + p x0a yb) with p = k - a, q = b - a,
+      ranked with the others by :func:`_ranked`.
+    """
+    # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
+    # order, so each edge has two slots; a key has a bit per fixed row.
+    slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
+    keyed: dict[int, dict[int, IntVec]] = {}
+    ranked: list = [None] * (N + 1)
+
+    def run_dd(k: int, key: bool, binding=None) -> None:
+        """Double description at sample k (on its binding edges, if given),
+        its rays ranked and, with ``key``, keyed by their tight sets on the
+        fixed rows: only the ends of a gap of at least 2 are compared."""
+        num, q = lengths(k)
+        rays = _maximal_rays(*(binding or _binding(frames, num)), q)
+        ranked[k] = _ranked(rays, n)
+        if key:
+            keyed[k] = {}
+            for ray in rays:
+                x0, y = ray[0], [c * q for c in ray[1:]]
+                tight = 0
+                for (i, j), t in zip(slots, num):
+                    tight = tight << 2 | (y[i] == t * x0) << 1 | (y[i] + y[j] == t * x0)
+                keyed[k][tight] = ray
+
+    def fill(a: int, b: int) -> None:
+        if b - a < 2:
+            return
+        if keyed[a].keys() != keyed[b].keys():
+            m = (a + b) // 2
+            run_dd(m, b - a > 2)
+            fill(a, m)
+            fill(m, b)
+            return
+        q = b - a
+        pairs = [(ray, keyed[b][tight]) for tight, ray in keyed[a].items()]
+        for p in range(1, q):
+            ranked[a + p] = _ranked(
+                [
+                    (q * x0 * z0,) + tuple((q - p) * z0 * y + p * x0 * z for y, z in zip(ya, zb))
+                    for (x0, *ya), (z0, *zb) in pairs
+                ],
+                n,
+            )
+
+    for k in range(N + 1):
+        num, q = lengths(k)
+        binding = _binding(frames, num)
+        ranked[k] = _certified(*binding, q, n)
+        if ranked[k] is None:
+            run_dd(k, N - k > 1, binding)
+            if k < N:
+                run_dd(N, N - k > 1)
+            fill(k, N)
+            break
+    return ranked
+
+
 def density(D: DelzantPolytope, x) -> Fraction:
     """Packed volume fraction sum(x_i^n) / (n! vol) of a radii vector."""
     pt = as_vec(x)
@@ -192,11 +286,12 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """Exact maximum density and all maximal packings, in lexicographic
     radii order.
 
-    The edge-block bound of :func:`_certified` settles the maximum when it
-    is reached, with no double description.  Otherwise the integer rays
-    (x0; y) of :func:`_maximal_rays` are ranked by sum(y_i^n) / x0^n
-    (:func:`_ranked`), the packed volume at the vertex y / x0 up to the
-    factor n! vol.  Either way vertices are built only for the exact ties.
+    This is :func:`_maxima` at one sample.  The edge-block bound of
+    :func:`_certified` settles the maximum when it is reached, with no
+    double description.  Otherwise the integer rays (x0; y) of
+    :func:`_maximal_rays` are ranked by sum(y_i^n) / x0^n (:func:`_ranked`),
+    the packed volume at y / x0 up to the factor n! vol.  Either way
+    vertices are built only for the exact ties.
 
     Why the bound certifies, for n >= 2.  Each x in P has 0 <= x_i <= r_i,
     by the least edge at i, so its restriction to a block meets the
@@ -231,7 +326,7 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
     """
     n = D.dim
     num, q = common_denominator(t for f in D.frames for t in f.lengths)
-    best, argmax = _certified(D.frames, num, q, n) or _ranked(_maximal_rays(D.frames, num, q), n)
+    [(best, argmax)] = _maxima(D.frames, lambda k: (num, q), 0, n)
     value = best / (math.factorial(n) * D.euclidean_volume)
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
     return value, tuple(Packing(v, value) for v in verts)

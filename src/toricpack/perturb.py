@@ -10,8 +10,8 @@ parameter is enumerated, to name what failed.  Along segments of
 admissible parameters the polytopes interpolate Minkowski-linearly, and
 the n-th roots of volume and of maximal density satisfy discrete
 concavity/convexity certificates checked here in exact arithmetic.  A
-scan interpolates its samples in integers and passes them to the routes
-that :func:`maximize` and ``euclidean_volume`` take.
+scan interpolates its samples in integers and passes them to the one
+routine behind :func:`maximize` and to the Brion sum of ``euclidean_volume``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .delzant import (
     _validate_reduced,
 )
 from .linalg import (
-    IntVec,
     Vec,
     _floor_root_scaled,
     as_vec,
@@ -40,7 +39,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .packing import _certified, _maximal_rays, _ranked
+from .packing import _maxima
 from .polytope import (
     DegeneratePolytopeError,
     EmptyPolytopeError,
@@ -237,14 +236,12 @@ def scan_segment(
     off-vertex slacks (:func:`_moved`), t = 0 first; if one is refused,
     :func:`perturb` runs once, at the first inadmissible sample, and
     ScanError names its t.  Every sample is interpolated from the ends in
-    integer arithmetic, and its maximum is certified by the edge-block
-    bound of :func:`~toricpack.packing._certified`, as in :func:`maximize`;
-    from the first sample that is not certified to the end, double
-    description runs instead once per chamber of the packing down-closure,
-    not once per sample.  Certificates: midpoint concavity of vol^(1/n)
-    over the whole segment and midpoint convexity of omega^(1/n) for
-    triples within [0, 1/4], all in exact arithmetic.  The ends are
-    homothetic when their edge lengths are proportional.
+    integer arithmetic, and the maxima come from
+    :func:`~toricpack.packing._maxima`, the routine behind :func:`maximize`.
+    Certificates: midpoint concavity of vol^(1/n) over the whole segment
+    and midpoint convexity of omega^(1/n) for triples within [0, 1/4], all
+    in exact arithmetic.  The ends are homothetic when their edge lengths
+    are proportional.
 
     Why this gives what per-sample validation and :func:`maximize` give:
 
@@ -259,49 +256,10 @@ def scan_segment(
       over those cones, :func:`~toricpack.delzant._brion_volume` as in
       ``euclidean_volume``, with
       <xi, v(t)> = (1-t) <xi, v(0)> + t <xi, v(1)>.
-    - Certified samples.  The bound reads only the sample's edge lengths,
-      which are the member's, and where it is reached it gives the
-      member's maximum and all its ties under any numbering of the
-      vertices and any common denominator.  The samples are certified in
-      order, and from the first that is not, sample k, the chamber route
-      below runs on the rest of the segment, k/N <= t <= 1; the samples
-      before k keep their certified maxima.  The argument below holds on
-      any sub-interval of the segment, whose samples are all admissible.
-    - The chambers.  Double description runs on the rows that
-      :func:`~toricpack.packing._maximal_rays` builds from the sample's
-      edge lengths, as for :func:`maximize`.  In base vertex order their
-      down-closure is also cut out by the fixed rows x_i <= l_e for each
-      edge e at i and x_i + x_j <= l_ij for each edge (r_i is the least
-      l_e at i, and a pair row with l_ij >= r_i + r_j is implied), and each
-      right-hand side is affine in t.  At a sample whose keys are compared,
-      each vertex is keyed by its tight set on these rows as soon as double
-      description returns it.  Distinct vertices have
-      distinct tight sets, since a vertex is the only solution of its
-      tight rows, so equal key sets mean equal vertex counts.
-    - Equal families of tight sets at samples t_a < t_b give, at every t
-      in between, exactly the interpolated vertices with the same tight
-      sets.  Let y(t) interpolate the vertices of tight set T at t_a and
-      t_b.  Every slack at y(t) is affine in t: zero at both ends on T,
-      positive at both ends off T.  So y(t) is feasible and tight on
-      exactly T, whose rows have full rank: a vertex.  Its tangent cone
-      {d : A_T d <= 0} depends only on T.  So an edge of P(t) at y(t) leaves
-      along a ray that starts an edge at y(t_a) too, tight on the same rows
-      of T.  That edge is bounded, since the recession cone does not depend
-      on t; it reaches the vertex of some tight set T', and its rows
-      T & T' cut out a line.  At t, the face on T & T' holds the distinct
-      vertices y(t) and y'(t), so it is the edge between them: each edge
-      reaches the same neighbour at both ends and at t.  The interpolated
-      vertices thus form a component of the graph of bounded edges, which
-      is connected for a pointed polyhedron, so they are all the vertices.
-      Where the families differ, double description runs at the middle
-      sample and both halves recurse.
-    - The interpolated vertex of sample k between DD samples a < b, with
-      rays (x0a; ya) and (x0b; yb), is the integer ray
-      (q x0a x0b; (q - p) x0b ya + p x0a yb) with p = k - a, q = b - a.
-      omega and the number of maximizers come from ranking these rays as
-      :func:`maximize` does; both are symmetric in the coordinates, so
-      numbering the vertices in base order rather than in the member's
-      lexicographic order changes neither.
+    - The maxima.  A sample's edge lengths, in the base's edge slots, are
+      the member's and affine in k, as ``_maxima`` asks.  omega and the
+      maximizer count are symmetric in the vertices, so numbering them in
+      base order rather than in the member's order changes neither.
     - Homothety.  D(1) = lam D(0) + v with lam > 0 exactly when every edge
       length at t = 1 is lam times its length at t = 0.  Such a homothety
       keeps the fan, so it maps the vertex on facets I to the vertex on I
@@ -335,71 +293,13 @@ def scan_segment(
         refuse(min(math.ceil(N * a / (a - b)) for a, b in zip(slacks0, slacks1) if b <= 0))
 
     frames = base.frames
-    # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
-    # order, so each edge has two slots; slot e keys its two rows by the
-    # bits 2e and 2e + 1.
-    slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
-    bits = [1 << 2 * e for e in range(len(slots))]
     lengths = _sampled(*(
         [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
         for vs in (moved0, moved1)
     ), N)
     xi, denoms = _brion_terms(base.directions)
     heights = _sampled(*([dot(xi, v) for v in vs] for vs in (moved0, moved1)), N)
-
-    keyed: dict[int, dict[int, IntVec]] = {}
-    ranked: dict[int, tuple[Fraction, list[IntVec]]] = {}
-
-    def run_dd(k: int, key: bool) -> None:
-        """Double description at sample k: its rays ranked and, when
-        ``key`` is set, keyed by their tight sets on the fixed rows, per
-        edge slot (i, j) x_i <= l_ij and x_i + x_j <= l_ij.  Only the ends
-        of a gap of at least 2 are compared, so only those need keys."""
-        num, q = lengths(k)
-        rays = _maximal_rays(frames, num, q)
-        ranked[k] = _ranked(rays, n)
-        if not key:
-            return
-        keyed[k] = {}
-        for ray in rays:
-            x0 = ray[0]
-            y = [c * q for c in ray[1:]]
-            tight = 0
-            for bit, (i, j), t in zip(bits, slots, num):
-                c = t * x0
-                if y[i] == c:
-                    tight |= bit
-                if y[i] + y[j] == c:
-                    tight |= bit << 1
-            keyed[k][tight] = ray
-
-    def fill(a: int, b: int) -> None:
-        if b - a < 2:
-            return
-        if keyed[a].keys() != keyed[b].keys():
-            m = (a + b) // 2
-            run_dd(m, b - a > 2)
-            fill(a, m)
-            fill(m, b)
-            return
-        q = b - a
-        pairs = [(ray, keyed[b][tight]) for tight, ray in keyed[a].items()]
-        for p in range(1, q):
-            ranked[a + p] = _ranked(
-                [
-                    (q * x0 * z0,) + tuple((q - p) * z0 * y + p * x0 * z for y, z in zip(ya, zb))
-                    for (x0, *ya), (z0, *zb) in pairs
-                ],
-                n,
-            )
-
-    for k in range(N + 1):
-        ranked[k] = _certified(frames, *lengths(k), n)
-        if ranked[k] is None:
-            for end in sorted({k, N}):
-                run_dd(end, N - k > 1)
-            fill(k, N)
-            break
+    ranked = _maxima(frames, lengths, N, n)
 
     num0, numN = lengths(0)[0], lengths(N)[0]
     ts = [Fraction(k, N) for k in range(N + 1)]

@@ -93,6 +93,9 @@ class TestFamily:
             (("simplex", "2", "0"), "scale must be positive"),
             (("cube", "2", "0"), "scale must be positive"),
             (("scale", "cube:2", "0"), "scale factor must be positive"),
+            # A negative rational reaches the generator, not argparse.
+            (("chopped_simplex", "-1/10", "1/10"), "chop depths must be nonnegative"),
+            (("cube", "2", "-1/2"), "scale must be positive"),
         ],
     )
     def test_generator_domain_error_named(self, capsys, args, message):

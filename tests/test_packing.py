@@ -22,9 +22,11 @@ from reference import (
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
 from toricpack.linalg import common_denominator
 from toricpack.packing import (
+    _binding,
     _certified,
     _half_open_disjoint,
     _maximal_rays,
+    _maxima,
     _ranked,
     admissible_simplex,
     density,
@@ -32,7 +34,7 @@ from toricpack.packing import (
     maximize,
     realize,
 )
-from toricpack.perturb import perturb, safe_radius_estimate
+from toricpack.perturb import perturb, safe_radius_estimate, scan_segment
 
 F = Fraction
 
@@ -102,7 +104,8 @@ def blocked_vertices(D):
 def maximal_rays(D):
     """The rays that maximize ranks: those of the down-closure built from
     D's edge lengths over their common denominator."""
-    return _maximal_rays(D.frames, *common_denominator(t for f in D.frames for t in f.lengths))
+    num, q = common_denominator(t for f in D.frames for t in f.lengths)
+    return _maximal_rays(*_binding(D.frames, num), q)
 
 
 def down_closure_vertices(D):
@@ -268,13 +271,14 @@ class TestCertified:
         name, offsets = case
         D = perturb(CERTIFIED_BASES[name], offsets)
         num, q = common_denominator(t for f in D.frames for t in f.lengths)
-        got = _certified(D.frames, num, q, D.dim)
+        binding = _binding(D.frames, num)
+        got = _certified(*binding, q, D.dim)
         if got is not None:
-            assert ranked_points(got) == ranked_points(_ranked(_maximal_rays(D.frames, num, q), D.dim))
+            assert ranked_points(got) == ranked_points(_ranked(_maximal_rays(*binding, q), D.dim))
 
     def test_interval_not_certified(self):
         D = make_simplex(1)
-        assert _certified(D.frames, [1, 1], 1, 1) is None
+        assert _certified(*_binding(D.frames, [1, 1]), 1, 1) is None
 
     @pytest.mark.parametrize(
         "D, dds",
@@ -290,6 +294,56 @@ class TestCertified:
         )
         maximize(D)
         assert len(calls) == dds
+
+
+# Bases that the edge-block bound never certifies, so that a scan of any
+# segment takes the chamber route from sample 0.
+UNCERTIFIED_BASES = {
+    "chopped3": BASES["chopped3"],
+    "chopped4": make_chopped_simplex(F(1, 10), F(1, 5), 4),
+    "prism": BASES["prism"],
+    "simplex2xsimplex2": make_product(make_simplex(2), make_simplex(2)),
+}
+
+
+def seeded_segment(base, seed):
+    """The ends s1, s2 of a segment of offsets inside half the safe radius."""
+    rng = random.Random(seed)
+    rho = safe_radius_estimate(base)
+    return [tuple(rho * F(rng.randint(-4, 4), 8) for _ in base.hrep.halfspaces) for _ in "ab"]
+
+
+class TestMaxima:
+    """Along a segment, the chamber route of ``_maxima`` gives at each
+    sample the value and the rays, as points y / x0, that the routine gives
+    on that sample's lengths alone, as ``maximize`` calls it."""
+
+    @pytest.mark.parametrize("certify", [True, False], ids=["certified", "uncertified"])
+    @pytest.mark.parametrize("name", sorted(UNCERTIFIED_BASES))
+    def test_segment_equals_each_sample(self, monkeypatch, name, certify):
+        packing_module = importlib.import_module("toricpack.packing")
+        if not certify:
+            monkeypatch.setattr(packing_module, "_certified", lambda *args: None)
+        base = UNCERTIFIED_BASES[name]
+        s1, s2 = seeded_segment(base, 2525)
+        calls, dds = [], []
+        monkeypatch.setattr(
+            importlib.import_module("toricpack.perturb"), "_maxima",
+            lambda *args: calls.append(args) or _maxima(*args),
+        )
+        cone_rays = packing_module._cone_rays
+        monkeypatch.setattr(
+            packing_module, "_cone_rays", lambda *args: dds.append(args) or cone_rays(*args)
+        )
+        scan_segment(base, s1, s2, 8)
+        [(frames, lengths, N, n)] = calls
+        num, q = lengths(0)
+        assert _certified(*_binding(frames, num), q, n) is None
+        assert len(dds) < N + 1
+        got = _maxima(frames, lengths, N, n)
+        for k in range(N + 1):
+            [want] = _maxima(frames, lambda _: lengths(k), 0, n)
+            assert ranked_points(got[k]) == ranked_points(want), k
 
 
 class TestBindingEdges:

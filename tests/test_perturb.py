@@ -464,6 +464,16 @@ class TestRootComparison:
         assert compare_root_midpoint(m, F(2), F(3), 2) == 1
         assert list(dict.fromkeys(tried)) == precisions
 
+    def test_gives_up_past_4000_digits(self, monkeypatch):
+        # Floors that never separate: every scaled root reads 0, so
+        # |2a - b - c| never exceeds 2 and each precision up to 3840 is tried.
+        perturb_module = importlib.import_module("toricpack.perturb")
+        tried = []
+        monkeypatch.setattr(perturb_module, "_floor_root_scaled", lambda q, n, k: tried.append(k) or 0)
+        with pytest.raises(ArithmeticError, match="^root comparison did not separate$"):
+            compare_root_midpoint(F(2), F(1), F(3), 2)
+        assert list(dict.fromkeys(tried)) == [30, 60, 120, 240, 480, 960, 1920, 3840]
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(root_triples(), root_near_ties()))
     def test_matches_enclosures(self, case):
@@ -717,7 +727,7 @@ class TestScanWork:
         # With no sample certified, the chamber route gives the same result.
         base = SCAN_BASES[name]
         want = scan_segment(base, (0,) * len(s2), s2, samples)
-        monkeypatch.setattr(importlib.import_module("toricpack.perturb"), "_certified", lambda *args: None)
+        monkeypatch.setattr(importlib.import_module("toricpack.packing"), "_certified", lambda *args: None)
         counts.update(perturb=0, dd=0)
         assert scan_segment(base, (0,) * len(s2), s2, samples) == want
         assert counts == {"perturb": 0, "dd": dds}
@@ -728,10 +738,10 @@ class TestScanWork:
         # does not, so samples 1 to 4 take the chamber route and sample 0
         # keeps its certified maximum: 4 DDs, where rerunning the whole
         # segment took 5.
-        perturb_module = importlib.import_module("toricpack.perturb")
-        certified, seen = perturb_module._certified, []
+        packing_module = importlib.import_module("toricpack.packing")
+        certified, seen = packing_module._certified, []
         monkeypatch.setattr(
-            perturb_module, "_certified", lambda *args: seen.append(certified(*args)) or seen[-1]
+            packing_module, "_certified", lambda *args: seen.append(certified(*args)) or seen[-1]
         )
         base = make_product(make_simplex(2), make_cube(2))
         s1 = (F(-1, 4), 0, F(-1, 6), F(-1, 12), F(1, 4), F(1, 4), F(1, 6))
