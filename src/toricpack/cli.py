@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 domain validation failure,
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from .jsonio import (
@@ -23,7 +22,7 @@ from .jsonio import (
     scan_summary,
     spec_file_document,
 )
-from .linalg import format_rat, vec_add, vec_scale
+from .linalg import _RATIONAL, format_rat, vec_add, vec_scale
 from .packing import maximize, realize
 from .perturb import safe_radius_estimate, scan_segment
 from .polytope import PolytopeError
@@ -40,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # Pass a negative rational such as -1/10 on, as argparse does "-2".
-        if re.fullmatch(r"-[0-9]+/[0-9]+", arg_string):
+        if arg_string.startswith("-") and _RATIONAL.fullmatch(arg_string):
             return None
         return super()._parse_optional(arg_string)
 

@@ -9,6 +9,16 @@ on first use, each neighbour read off the incidence (across facet f, the
 one other vertex on the vertex's other facets).
 The volume is Brion's sum over the vertex cones, :func:`_brion_volume`,
 which offset scans take for every sample too.
+
+Inside, the vertex cones are integers at one scale, moved by
+:func:`_moved` and cached at the base offsets as ``_lattice``.  With Q the
+lcm of the offset denominators, L = Q lambda is integral, and on the
+facets I of a vertex N_I v_I = lambda_I, so Q v_I = sum_{f in I} L_f d_f
+over the integral columns d_f of N_I^-1, and each off-vertex slack
+<u_j, Q v_I> - L_j, are integral.  Along an edge v_j - v_i = t d with d
+primitive, Q t d is integral; if Q t = p / r in lowest terms, r divides
+every p d_k, so every d_k, so r = 1: each edge length is an integer over
+Q.  A Fraction is built only where a public field or property returns one.
 """
 
 from __future__ import annotations
@@ -18,15 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import (
-    IntVec,
-    Vec,
-    bareiss,
-    common_denominator,
-    dot,
-    gcd_primitive,
-    rat,
-)
+from .linalg import IntVec, Vec, bareiss, dot, gcd_primitive, rat
 from .polytope import (
     HPolytope,
     PolytopeError,
@@ -88,15 +90,20 @@ class DelzantPolytope:
         masks = [sum(1 << f for f in active) for active in self.incidence]
         on = _tight_columns(masks)
         everyone = (1 << len(masks)) - 1
-        frames = []
-        for i, (mask, dirs) in enumerate(zip(masks, self.directions)):
-            neighbors = tuple(
+        neighbors = [
+            tuple(
                 _third_positions(mask ^ (1 << f), 1 << i, on, everyone).bit_length() - 1
                 for f in self.incidence[i]
             )
-            lengths = _edge_lengths(self.vertices, i, dirs, neighbors)
-            frames.append(VertexFrame(dirs, lengths, neighbors))
-        return tuple(frames)
+            for i, mask in enumerate(masks)
+        ]
+        verts, _, q = self._lattice
+        lengths = _edge_lengths(verts, self.directions, neighbors)
+        n = self.dim
+        return tuple(
+            VertexFrame(dirs, tuple(Fraction(t, q) for t in lengths[i * n:(i + 1) * n]), nbrs)
+            for i, (dirs, nbrs) in enumerate(zip(self.directions, neighbors))
+        )
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -127,28 +134,45 @@ class DelzantPolytope:
         return tuple(bounds)
 
     @cached_property
-    def _slack_forms(self) -> tuple[tuple[tuple[int, Fraction, IntVec], ...], ...]:
-        """Vertex by vertex, each facet j off the vertex v_I as (j, c, a):
-        under offsets s its slack at v_I(s) = v_I + sum_{f in I} s^f d_f is
-        c + a . s_I - s^j, with c its slack at v_I and a = (<u_j, d_f>)_f
-        integral, the directions d_f being the columns of N_I^-1."""
-        return tuple(
-            tuple(
-                (j, h.eval_at(v), tuple(dot(h.normal, d) for d in dirs))
-                for j, h in enumerate(self.hrep.halfspaces)
-                if j not in active
-            )
-            for v, active, dirs in zip(self.vertices, self.incidence, self.directions)
-        )
+    def _lattice(self) -> tuple[list[IntVec], list[int], int]:
+        """The vertex cones in integers: :func:`_moved` at s = 0, whose
+        scale Q is the lcm of the offset denominators."""
+        return _moved(self, [0] * self.hrep.num_facets)
 
     @cached_property
     def euclidean_volume(self) -> Fraction:
         """Exact Euclidean volume by Brion's formula over the vertex cones
         (Brion 1988; Lawrence 1991): :func:`_brion_volume`, the sum every
-        scan sample takes too, over the terms of :func:`_brion_terms`."""
+        scan sample takes too, over the terms of :func:`_brion_terms`, with
+        the heights <xi, Q v> of the integer vertices."""
+        verts, _, q = self._lattice
         xi, denoms = _brion_terms(self.directions)
-        heights, q = common_denominator(dot(xi, v) for v in self.vertices)
-        return _brion_volume(self.dim, denoms, heights, q)
+        return _brion_volume(self.dim, denoms, [dot(xi, v) for v in verts], q)
+
+
+def _moved(D: DelzantPolytope, s) -> tuple[list[IntVec], list[int], int]:
+    """D's vertex cones at the offsets lambda + s (ints or Fractions), in
+    integers at the scale Q_s, the lcm of the denominators of lambda and s:
+    the vertices Q_s v_I(s) = sum_{f in I} L_f d_f, L = Q_s (lambda + s),
+    in D's order; vertex by vertex, every off-vertex slack
+    <u_j, Q_s v_I(s)> - L_j; and Q_s.  s is admissible exactly when every
+    slack is positive (:func:`~toricpack.perturb.perturb`)."""
+    halfspaces = D.hrep.halfspaces
+    if len(s) != len(halfspaces):
+        raise ValueError(
+            f"offset vector has {len(s)} entries, the polytope has {len(halfspaces)} facets"
+        )
+    q = math.lcm(*(h.offset.denominator for h in halfspaces), *(x.denominator for x in s))
+    L = [
+        h.offset.numerator * (q // h.offset.denominator) + x.numerator * (q // x.denominator)
+        for h, x in zip(halfspaces, s)
+    ]
+    verts, slacks = [], []
+    for active, dirs in zip(D.incidence, D.directions):
+        v = tuple(sum(L[f] * d[k] for f, d in zip(active, dirs)) for k in range(D.dim))
+        verts.append(v)
+        slacks += [dot(h.normal, v) - L[j] for j, h in enumerate(halfspaces) if j not in active]
+    return verts, slacks, q
 
 
 def _brion_terms(directions) -> tuple[IntVec, list[int]]:
@@ -231,15 +255,17 @@ def _validate_reduced(reduced: HPolytope, verts, incidence) -> DelzantPolytope:
     return DelzantPolytope(reduced, verts, incidence, tuple(dirs))
 
 
-def _edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:
-    """The lattice length t of each edge at vertex i, where the edge along
-    primitive d reaches vertex j: v_j - v_i = t d, read off one nonzero
-    coordinate of d."""
+def _edge_lengths(verts: list[IntVec], directions, neighbors) -> list[int]:
+    """The lattice length t of every edge slot, vertex by vertex in frame
+    order, from integer vertices over a common scale: the edge along
+    primitive d from vertex i reaches vertex j, and v_j - v_i = t d is read
+    off one nonzero coordinate of d, exactly (see the module docstring)."""
     lengths = []
-    for d, j in zip(dirs, neighbors):
-        c = next(c for c, x in enumerate(d) if x)
-        lengths.append((verts[j][c] - verts[i][c]) / d[c])
-    return tuple(lengths)
+    for v, dirs, nbrs in zip(verts, directions, neighbors):
+        for d, j in zip(dirs, nbrs):
+            c = next(c for c, x in enumerate(d) if x)
+            lengths.append((verts[j][c] - v[c]) // d[c])
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +279,7 @@ def make_simplex(n: int, scale=1) -> DelzantPolytope:
     s = rat(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    rows = [(tuple(int(i == j) for j in range(n)), Fraction(0)) for i in range(n)]
+    rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
     rows.append(((-1,) * n, -s))
     return validate_delzant(hpolytope(n, rows))
 
@@ -265,25 +291,16 @@ def make_cube(n: int, scale=1) -> DelzantPolytope:
     s = rat(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    rows = []
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        rows.append((e, Fraction(0)))
-    for i in range(n):
-        e = tuple(-int(i == j) for j in range(n))
-        rows.append((e, -s))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows = [(e, 0) for e in unit] + [(tuple(-c for c in e), -s) for e in unit]
     return validate_delzant(hpolytope(n, rows))
 
 
 def make_product(D1: DelzantPolytope, D2: DelzantPolytope) -> DelzantPolytope:
     """Direct product in R^(n1+n2); facets of D1 first, then of D2."""
-    n1, n2 = D1.dim, D2.dim
-    rows = []
-    for h in D1.hrep.halfspaces:
-        rows.append((h.normal + (0,) * n2, h.offset))
-    for h in D2.hrep.halfspaces:
-        rows.append(((0,) * n1 + h.normal, h.offset))
-    return validate_delzant(hpolytope(n1 + n2, rows))
+    rows = [(h.normal + (0,) * D2.dim, h.offset) for h in D1.hrep.halfspaces]
+    rows += [((0,) * D1.dim + h.normal, h.offset) for h in D2.hrep.halfspaces]
+    return validate_delzant(hpolytope(D1.dim + D2.dim, rows))
 
 
 def make_chopped_simplex(eps1, eps2, n: int = 2) -> DelzantPolytope:
@@ -302,10 +319,8 @@ def make_chopped_simplex(eps1, eps2, n: int = 2) -> DelzantPolytope:
         raise ValueError("chop depths violate eps1 + eps2 <= 1")
     if e1 >= 1 or e2 >= 1:
         raise ValueError("chop depth must be less than 1")
-    rows: list[tuple[tuple[int, ...], Fraction]] = []
-    for i in range(n):
-        rows.append((tuple(int(i == j) for j in range(n)), Fraction(0)))
-    rows.append(((-1,) * n, Fraction(-1)))
+    rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    rows.append(((-1,) * n, -1))
     rows.append((tuple(-int(j == 0) for j in range(n)), e1 - 1))
     rows.append((tuple(-int(j == 1) for j in range(n)), e2 - 1))
     try:

@@ -22,7 +22,7 @@ from .delzant import (
     scale,
     validate_delzant,
 )
-from .linalg import format_rat
+from .linalg import format_rat, rat
 from .packing import Packing
 from .perturb import ScanResult
 from .polytope import HPolytope, HalfSpace
@@ -47,20 +47,15 @@ def _is_int(value: Any) -> bool:
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _rational(value: Any, what: str) -> Fraction:
-    """A JSON integer or a string such as "-9/10": an optional minus sign,
-    ASCII digits and an optional "/" with a nonzero ASCII denominator;
-    nothing else, so no decimal, exponent, sign "+", space or other
-    digit script."""
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+    """A JSON integer or a string such as "-9/10", read by the one rational
+    grammar of :func:`~toricpack.linalg.rat`; nothing else."""
+    if _is_int(value) or isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return rat(value)
+        except ValueError:
             pass
     raise SpecFileError(f"{what} must be an integer or a rational string, got {value!r}")
 

@@ -1,15 +1,17 @@
 """Exact rational linear algebra and lattice primitives.
 
-Every quantity in this package is a :class:`fractions.Fraction` (or a plain
-int for lattice data).  Fractions are always stored in lowest terms with a
-positive denominator, so equality and ordering are exact; no floating point
-enters any computation here.  Where many rationals meet in one integer
-computation, :func:`common_denominator` writes them over one denominator.
+Integers inside, Fractions at the edges: rationals meet as integer
+numerators over one scale (see :mod:`toricpack.delzant`), and a
+:class:`fractions.Fraction`, in lowest terms so that equality and ordering
+are exact, is built only where a public API returns a rational or output
+formats one.  No floating point enters any computation.  Rationals come in
+by one grammar, ``_RATIONAL``, read by :func:`rat`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,13 +19,25 @@ IntVec = tuple[int, ...]
 Vec = tuple[Fraction, ...]
 
 
+# An optional minus sign, ASCII digits, and an optional "/" with ASCII
+# digits: no decimal point, exponent, sign "+", space, "_" or other script.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings to an exact rational."""
+    """Coerce an int, a Fraction or a string of the ``_RATIONAL`` grammar
+    ("-9/10", "3") to an exact rational; anything else, a float or a zero
+    denominator included, raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not a rational \"p/q\": {value!r}")
 
 
 def format_rat(q: Fraction) -> str:
@@ -62,14 +76,6 @@ def gcd_primitive(v: Sequence[int]) -> tuple[IntVec, int]:
     if g == 1:
         return tuple(v), 1
     return tuple(x // g for x in v), g
-
-
-def common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The rationals xs as integer numerators over their least common
-    denominator, and that denominator (1 for no xs)."""
-    xs = list(xs)
-    q = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (q // x.denominator) for x in xs], q
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:

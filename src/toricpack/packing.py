@@ -11,8 +11,8 @@ prints them straight from ``pair_bounds``.
 
 The maximizers are found without enumerating P, by one routine,
 :func:`_maxima`, for :func:`maximize` and for every sample of an offset
-scan alike, reading the edge lengths in integers over a common
-denominator.  An edge-block bound, :func:`_certified`, settles cubes of
+scan alike, reading the edge lengths in integers at the polytope's
+scale.  An edge-block bound, :func:`_certified`, settles cubes of
 every dimension and most members of their offset families in
 milliseconds.  Where it is not reached, double description enumerates
 the down-closure P - R^V_+, an unbounded polyhedron with far fewer
@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delzant import DelzantPolytope
-from .linalg import IntVec, Vec, as_vec, common_denominator
+from .delzant import DelzantPolytope, _edge_lengths
+from .linalg import IntVec, Vec, as_vec
 from .polytope import EmptyPolytopeError, HalfSpace, HPolytope, _cone_rays, _polytope_rays
 
 
@@ -325,7 +325,8 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
       for every edge at j, and every point below P meets the rows.
     """
     n = D.dim
-    num, q = common_denominator(t for f in D.frames for t in f.lengths)
+    qverts, _, q = D._lattice
+    num = _edge_lengths(qverts, D.directions, [f.neighbor_indices for f in D.frames])
     [(best, argmax)] = _maxima(D.frames, lambda k: (num, q), 0, n)
     value = best / (math.factorial(n) * D.euclidean_volume)
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)

@@ -9,9 +9,10 @@ keeps their frame directions, with no vertex enumeration; only a rejected
 parameter is enumerated, to name what failed.  Along segments of
 admissible parameters the polytopes interpolate Minkowski-linearly, and
 the n-th roots of volume and of maximal density satisfy discrete
-concavity/convexity certificates checked here in exact arithmetic.  A
-scan interpolates its samples in integers and passes them to the one
-routine behind :func:`maximize` and to the Brion sum of ``euclidean_volume``.
+concavity/convexity certificates checked here in exact arithmetic.
+Offsets move in integers at one scale (:func:`~toricpack.delzant._moved`);
+a scan interpolates its samples from its ends' integers for the one
+routine behind :func:`maximize` and the Brion sum of ``euclidean_volume``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .delzant import (
     DelzantPolytope,
@@ -26,13 +28,12 @@ from .delzant import (
     _brion_terms,
     _brion_volume,
     _edge_lengths,
+    _moved,
     _validate_reduced,
 )
 from .linalg import (
-    Vec,
     _floor_root_scaled,
     as_vec,
-    common_denominator,
     dot,
     nthroot_decimal,
     rational_nthroot,
@@ -70,12 +71,12 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     f in I) invert the active normals N_I, so the point of D(s) on the same
     facets is v_I(s) = v_I + sum_{f in I} s^f d_f.  The offset is accepted
     exactly when every off-vertex slack of :func:`_moved` is positive, and
-    D(s) is then the moved vertices in lexicographic order with the base's
-    incidence and directions, reordered alike; nothing is enumerated and no
-    edge is built.  The member derives its own frames from these, as a
-    validated polytope does: the moved neighbour across the edge along d_f
-    lies on the ray from v_I(s) along d_f (see below), so the edge's
-    lattice length is read off the moved vertices.
+    D(s) is then the moved vertices, made Fractions, in lexicographic order
+    with the base's incidence and directions, reordered alike; nothing is
+    enumerated and no edge is built.  The member derives its own frames
+    from these, as a validated polytope does: the moved neighbour across
+    the edge along d_f lies on the ray from v_I(s) along d_f (see below),
+    so the edge's lattice length is read off the moved vertices.
 
     Why this is enough: each v_I(s) is feasible and lies on exactly the n
     facets I, so it is a simple vertex of D(s).  Its edge along d_f keeps
@@ -91,7 +92,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     Delzant", and otherwise "fan changed".
     """
     sv = as_vec(s)
-    moved, slacks = _moved(base, sv)
+    moved, slacks, q = _moved(base, sv)
     shifted = hpolytope(
         base.dim, [(h.normal, h.offset + si) for h, si in zip(base.hrep.halfspaces, sv)]
     )
@@ -99,7 +100,7 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
         order = sorted(range(len(moved)), key=moved.__getitem__)
         return DelzantPolytope(
             shifted,
-            tuple(moved[i] for i in order),
+            tuple(tuple(Fraction(c, q) for c in moved[i]) for i in order),
             tuple(base.incidence[i] for i in order),
             tuple(base.directions[i] for i in order),
         )
@@ -121,33 +122,9 @@ def perturb(base: DelzantPolytope, s) -> DelzantPolytope:
     raise PerturbationError("fan changed")
 
 
-def _moved(base: DelzantPolytope, sv: Vec) -> tuple[list[Vec], list[Fraction]]:
-    """The admissibility test of the offset sv: the moved vertices
-    v_I(s) = v_I + sum_{f in I} s^f d_f in base order, and vertex by vertex
-    every off-vertex slack c + a . s_I - s^j of ``base._slack_forms``.  sv
-    is admissible exactly when every slack is positive."""
-    if len(sv) != base.hrep.num_facets:
-        raise ValueError(
-            f"offset vector has {len(sv)} entries, the polytope has "
-            f"{base.hrep.num_facets} facets"
-        )
-    moved: list[Vec] = []
-    slacks: list[Fraction] = []
-    for v, active, dirs, forms in zip(
-        base.vertices, base.incidence, base.directions, base._slack_forms
-    ):
-        s_I = [sv[f] for f in active]
-        moved.append(tuple(
-            c + sum(x * d[k] for x, d in zip(s_I, dirs))
-            for k, c in enumerate(v)
-        ))
-        slacks.extend(c + dot(a, s_I) - sv[j] for j, c, a in forms)
-    return moved, slacks
-
-
 def is_admissible(base: DelzantPolytope, s) -> bool:
     """Whether :func:`perturb` accepts s: every off-vertex slack of
-    :func:`_moved` is positive.  No member is built."""
+    :func:`_moved` is positive, tested in integers.  No member is built."""
     return all(x > 0 for x in _moved(base, as_vec(s))[1])
 
 
@@ -156,14 +133,21 @@ def safe_radius_estimate(base: DelzantPolytope) -> Fraction:
 
     The bound is open: every offset s with max|s^i| strictly below the
     returned radius is admissible, and some offset with max|s^i| equal to
-    it is not.  Each off-vertex slack c + a . s_I - s^j of
-    ``base._slack_forms`` stays positive for all max|s^i| < rho exactly when
-    rho <= c / (|a|_1 + 1); the radius is the least such bound over all
-    vertices and facets.
+    it is not.  The slack of facet j off the vertex v_I is affine in s:
+    c + a . s_I - s^j, with c its slack at s = 0 (``base._lattice``) and
+    a = (<u_j, d_f>)_f.  It stays positive for all max|s^i| < rho exactly
+    when rho <= c / (|a|_1 + 1); the radius is the least such bound over
+    all vertices and facets, found by cross-multiplying integers.
     """
-    return min(
-        c / (sum(map(abs, a)) + 1) for forms in base._slack_forms for _, c, a in forms
-    )
+    _, slacks, q = base._lattice
+    weights = [
+        sum(abs(dot(h.normal, d)) for d in dirs) + 1
+        for active, dirs in zip(base.incidence, base.directions)
+        for j, h in enumerate(base.hrep.halfspaces)
+        if j not in active
+    ]
+    c, w = min(zip(slacks, weights), key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    return Fraction(c, w * q)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +219,8 @@ def scan_segment(
     No member polytope is built.  The two ends are tested by their
     off-vertex slacks (:func:`_moved`), t = 0 first; if one is refused,
     :func:`perturb` runs once, at the first inadmissible sample, and
-    ScanError names its t.  Every sample is interpolated from the ends in
-    integer arithmetic, and the maxima come from
+    ScanError names its t.  Every sample is interpolated from the ends'
+    integers at their two scales, and the maxima come from
     :func:`~toricpack.packing._maxima`, the routine behind :func:`maximize`.
     Certificates: midpoint concavity of vol^(1/n) over the whole segment
     and midpoint convexity of omega^(1/n) for triples within [0, 1/4], all
@@ -249,7 +233,8 @@ def scan_segment(
       is affine in s, hence in t: a at t = 0 and b at t = 1 give
       ((N - k) a + k b) / N at sample k.  So admissible ends make every
       sample admissible, and if only end 1 is refused, the first refused
-      sample is the least k >= N a / (a - b) over the slacks with b <= 0.
+      sample is the least k >= N a q1 / (a q1 - b q0) over the slacks
+      with b <= 0, for a and b over the ends' scales q0 and q1.
       Every member then has the base's vertex cones, its vertex
       v_I(t) = (1-t) v_I(0) + t v_I(1), and each edge length, read off
       v_j - v_i = l d, is interpolated likewise; its volume is Brion's sum
@@ -285,28 +270,26 @@ def scan_segment(
         except PerturbationError as exc:
             raise ScanError(f"inadmissible sample at t = {t}: {exc}") from exc
 
-    moved0, slacks0 = _moved(base, v1)
+    moved0, slacks0, q0 = _moved(base, v1)
     if not all(x > 0 for x in slacks0):
         refuse(0)
-    moved1, slacks1 = _moved(base, v2)
+    moved1, slacks1, q1 = _moved(base, v2)
     if not all(x > 0 for x in slacks1):
-        refuse(min(math.ceil(N * a / (a - b)) for a, b in zip(slacks0, slacks1) if b <= 0))
+        refuse(min(
+            -(-N * a * q1 // (a * q1 - b * q0)) for a, b in zip(slacks0, slacks1) if b <= 0
+        ))
 
     frames = base.frames
-    lengths = _sampled(*(
-        [x for i, f in enumerate(frames) for x in _edge_lengths(vs, i, f.directions, f.neighbor_indices)]
-        for vs in (moved0, moved1)
-    ), N)
+    neighbors = [f.neighbor_indices for f in frames]
+    ends = [(moved0, q0), (moved1, q1)]
+    lengths = _sampled([(_edge_lengths(vs, base.directions, neighbors), q) for vs, q in ends], N)
     xi, denoms = _brion_terms(base.directions)
-    heights = _sampled(*([dot(xi, v) for v in vs] for vs in (moved0, moved1)), N)
+    heights = _sampled([([dot(xi, v) for v in vs], q) for vs, q in ends], N)
     ranked = _maxima(frames, lengths, N, n)
 
     num0, numN = lengths(0)[0], lengths(N)[0]
-    ts = [Fraction(k, N) for k in range(N + 1)]
     vols = [_brion_volume(n, denoms, *heights(k)) for k in range(N + 1)]
     omegas = [ranked[k][0] / (math.factorial(n) * vols[k]) for k in range(N + 1)]
-    counts = [len(ranked[k][1]) for k in range(N + 1)]
-    decs = [nthroot_decimal(om, n) for om in omegas]
 
     vol_cmps = [
         compare_root_midpoint(vols[k], vols[k - 1], vols[k + 1], n)
@@ -315,15 +298,15 @@ def scan_segment(
     near_zero = [
         compare_root_midpoint(omegas[k], omegas[k - 1], omegas[k + 1], n)
         for k in range(1, samples)
-        if Fraction(k + 1, samples) <= Fraction(1, 4)
+        if 4 * (k + 1) <= samples
     ]
     return ScanResult(
         samples=samples,
-        ts=tuple(ts),
+        ts=tuple(Fraction(k, N) for k in range(N + 1)),
         volumes=tuple(vols),
         omegas=tuple(omegas),
-        omega_root_decimals=tuple(decs),
-        maximizer_counts=tuple(counts),
+        omega_root_decimals=tuple(nthroot_decimal(om, n) for om in omegas),
+        maximizer_counts=tuple(len(r[1]) for r in ranked),
         vol_root_midpoint_concave=all(c >= 0 for c in vol_cmps),
         vol_root_strictly_concave_somewhere=any(c > 0 for c in vol_cmps),
         vol_root_all_midpoints_equal=all(c == 0 for c in vol_cmps),
@@ -332,9 +315,8 @@ def scan_segment(
     )
 
 
-def _sampled(xs, ys, N: int):
-    """k -> the values (1 - k/N) x + (k/N) y for x, y in zip(xs, ys), as
-    integer numerators over one common denominator, and that denominator."""
-    a, qx = common_denominator(xs)
-    b, qy = common_denominator(ys)
-    return lambda k: ([(N - k) * x * qy + k * y * qx for x, y in zip(a, b)], N * qx * qy)
+def _sampled(ends, N: int):
+    """k -> (1 - k/N) x / qx + (k/N) y / qy for the integers x, y of the
+    ends [(xs, qx), (ys, qy)], as integers over N qx qy, and N qx qy."""
+    (xs, qx), (ys, qy) = ends
+    return lambda k: ([(N - k) * x * qy + k * y * qx for x, y in zip(xs, ys)], N * qx * qy)

@@ -63,6 +63,15 @@ sets, :func:`mat_det` for the determinant the Delzant check reports,
 :func:`nthroot_bounds` (with :func:`reference_compare_root_midpoint`) for
 the root comparison on integer floors, and :func:`_homothetic` for a
 scan's homothety test on edge lengths.
+
+The library keeps a Delzant polytope's vertex cones in integers at one
+scale, moves offsets there and reads edge lengths, volumes and maxima off
+integer numerators.  The Fraction routes it replaced are kept here as
+their oracles: :func:`reference_moved` moves the Fraction vertices and
+evaluates every off-vertex slack, :func:`reference_edge_lengths` reads
+each edge's length off Fraction vertices, and :func:`common_denominator`
+writes Fractions over one denominator, as :func:`reference_volume_brion`
+and :func:`reference_maximize` do.
 """
 
 import itertools
@@ -75,6 +84,8 @@ from toricpack.delzant import (
     DelzantPolytope,
     NotDelzantError,
     VertexFrame,
+    _brion_terms,
+    _brion_volume,
     validate_delzant,
 )
 from toricpack.linalg import (
@@ -82,7 +93,6 @@ from toricpack.linalg import (
     _floor_root_scaled,
     as_vec,
     bareiss,
-    common_denominator,
     dot,
     gcd_primitive,
     nthroot_decimal,
@@ -91,7 +101,14 @@ from toricpack.linalg import (
     vec_add,
     vec_scale,
 )
-from toricpack.packing import AdmissibleSimplex, _half_open_disjoint, admissible_simplex, maximize
+from toricpack.packing import (
+    AdmissibleSimplex,
+    Packing,
+    _half_open_disjoint,
+    _maxima,
+    admissible_simplex,
+    maximize,
+)
 from toricpack.perturb import (
     PerturbationError,
     ScanError,
@@ -117,6 +134,77 @@ from toricpack.polytope import (
     _tight_vertices,
     _vertex,
 )
+
+
+def common_denominator(xs) -> tuple[list[int], int]:
+    """The rationals xs as integer numerators over their least common
+    denominator, and that denominator (1 for no xs)."""
+    xs = list(xs)
+    q = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
+
+
+def reference_edge_lengths(verts, i: int, dirs, neighbors) -> tuple[Fraction, ...]:
+    """The lattice length t of each edge at vertex i, where the edge along
+    primitive d reaches vertex j: v_j - v_i = t d, read off one nonzero
+    coordinate of d, in Fractions."""
+    lengths = []
+    for d, j in zip(dirs, neighbors):
+        c = next(c for c, x in enumerate(d) if x)
+        lengths.append((verts[j][c] - verts[i][c]) / d[c])
+    return tuple(lengths)
+
+
+def reference_slack_forms(D: DelzantPolytope) -> tuple:
+    """Vertex by vertex, each facet j off the vertex v_I as (j, c, a): c its
+    Fraction slack at v_I and a = (<u_j, d_f>)_f."""
+    return tuple(
+        tuple(
+            (j, h.eval_at(v), tuple(dot(h.normal, d) for d in dirs))
+            for j, h in enumerate(D.hrep.halfspaces)
+            if j not in active
+        )
+        for v, active, dirs in zip(D.vertices, D.incidence, D.directions)
+    )
+
+
+def reference_moved(base: DelzantPolytope, s) -> tuple[list, list]:
+    """The moved vertices v_I(s) = v_I + sum_{f in I} s^f d_f in base order,
+    and vertex by vertex every off-vertex slack c + a . s_I - s^j of
+    :func:`reference_slack_forms`, all in Fractions."""
+    sv = as_vec(s)
+    moved, slacks = [], []
+    for v, active, dirs, forms in zip(
+        base.vertices, base.incidence, base.directions, reference_slack_forms(base)
+    ):
+        s_I = [sv[f] for f in active]
+        moved.append(tuple(
+            c + sum(x * d[k] for x, d in zip(s_I, dirs)) for k, c in enumerate(v)
+        ))
+        slacks.extend(c + dot(a, s_I) - sv[j] for j, c, a in forms)
+    return moved, slacks
+
+
+def reference_volume_brion(D: DelzantPolytope) -> Fraction:
+    """Brion's sum over D's cones with the heights <xi, v> of its Fraction
+    vertices written over their common denominator."""
+    xi, denoms = _brion_terms(D.directions)
+    heights, q = common_denominator(dot(xi, v) for v in D.vertices)
+    return _brion_volume(D.dim, denoms, heights, q)
+
+
+def reference_maximize(D: DelzantPolytope) -> tuple:
+    """``maximize`` on the edge lengths of :func:`reference_edge_lengths`
+    over their common denominator, with :func:`reference_volume_brion`."""
+    frames = D.frames
+    num, q = common_denominator(
+        t for i, f in enumerate(frames)
+        for t in reference_edge_lengths(D.vertices, i, f.directions, f.neighbor_indices)
+    )
+    [(best, argmax)] = _maxima(frames, lambda k: (num, q), 0, D.dim)
+    value = best / (math.factorial(D.dim) * reference_volume_brion(D))
+    verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
+    return value, tuple(Packing(v, value) for v in verts)
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:

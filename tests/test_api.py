@@ -28,7 +28,7 @@ def test_retired_names_are_gone():
     assert not retired & set(toricpack.__all__)
     assert [name for name in sorted(retired) if hasattr(toricpack, name)] == []
     modules = {
-        "linalg": {"Rational", "mat_det", "nthroot_bounds"},
+        "linalg": {"Rational", "common_denominator", "mat_det", "nthroot_bounds"},
         "perturb": {"_certified", "_homothetic", "_maximal_rays", "_ranked"},
         "polytope": {"intersect", "vertex_set"},
     }

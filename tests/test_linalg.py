@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference import (
     SingularMatrixError,
     affine_rank,
+    common_denominator,
     greedy_row_basis,
     mat_det,
     mat_rank,
@@ -18,7 +19,6 @@ from reference import (
     solve_linear,
 )
 from toricpack.linalg import (
-    common_denominator,
     floor_nthroot,
     format_rat,
     gcd_primitive,
@@ -290,3 +290,13 @@ class TestFormat:
     @given(rationals)
     def test_parse_format_identity(self, q):
         assert rat(format_rat(q)) == q
+
+    # Each of these once read as a rational: a decimal, an exponent, spaces,
+    # a sign "+", an Arabic-Indic digit one, an underscore, a float; and a
+    # zero denominator.
+    @pytest.mark.parametrize(
+        "value", ["1e5", "0.5", " 3 ", "+2", "١", "1_000", 0.1, "1/0", "", "1/", "/2"]
+    )
+    def test_rat_refuses_outside_the_grammar(self, value):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat(value)

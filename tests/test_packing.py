@@ -9,18 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     build_packing_polytope,
+    common_denominator,
     contains,
     enumerate_vertices,
     packing_polytope_vertices,
+    reference_edge_lengths,
     reference_edge_system,
     reference_half_open_disjoint,
     reference_maximal_rays,
+    reference_maximize,
     reference_volume,
+    reference_volume_brion,
     vertex_set,
 )
 
 from toricpack.delzant import make_chopped_simplex, make_cube, make_product, make_simplex
-from toricpack.linalg import common_denominator
 from toricpack.packing import (
     _binding,
     _certified,
@@ -586,3 +589,42 @@ class TestCubes:
         # The triangle faces allow the half-integral corner assignment.
         v = (F(1, 2),) * 3 + (F(0),) * 3
         assert v in packing_polytope_vertices(prism)
+
+
+# Bases with offsets of mixed denominators among them: the product's scale
+# is lcm(7, 11) = 77.
+INTEGER_CONE_BASES = {
+    **{f"cube{n}": make_cube(n) for n in range(2, 6)},
+    "chopped3": BASES["chopped3"],
+    "chopped5": make_chopped_simplex(F(1, 10), F(1, 5), 5),
+    "simplex2x3_7xcube2x5_11": make_product(make_simplex(2, F(3, 7)), make_cube(2, F(5, 11))),
+}
+
+
+def assert_integer_cones_match(D):
+    """The volume, the frames' edge lengths and the maximum read off the
+    integer vertex cones equal their Fraction routes."""
+    assert D.euclidean_volume == reference_volume_brion(D)
+    for i, f in enumerate(D.frames):
+        assert f.lengths == reference_edge_lengths(D.vertices, i, f.directions, f.neighbor_indices)
+    assert maximize(D) == reference_maximize(D)
+
+
+class TestIntegerCones:
+    """The vertex cones in integers at the scale of the offsets give what
+    the Fraction vertices give, on the bases and on members moved by
+    offsets with coprime denominators."""
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_CONE_BASES))
+    def test_bases(self, name):
+        assert_integer_cones_match(INTEGER_CONE_BASES[name])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_members(self, data):
+        name = data.draw(st.sampled_from(sorted(INTEGER_CONE_BASES)))
+        base = INTEGER_CONE_BASES[name]
+        rho = safe_radius_estimate(base)
+        primes = data.draw(st.permutations((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
+        s = [rho * F(data.draw(st.integers(-p + 1, p - 1)), p) for p in primes[:base.hrep.num_facets]]
+        assert_integer_cones_match(perturb(base, s))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference import (
     is_homothetic,
     reference_compare_root_midpoint,
+    reference_moved,
     reference_perturb,
     reference_scan_segment,
     reference_volume,
@@ -19,6 +20,7 @@ from reference import (
 from test_packing import BASES as SCAN_BASES
 
 from toricpack.delzant import (
+    _moved,
     make_chopped_simplex,
     make_cube,
     make_product,
@@ -326,6 +328,56 @@ class TestAdmissibility:
             assert is_admissible(square, tuple(k * c for c in s))
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def coprime_offsets(draw):
+    """A base of ``TestMatchesReference`` and an offset vector whose entries
+    m / p have distinct prime denominators p, so mutually coprime ones, up
+    to twice the safe radius; one time in four, instead, plus or minus the
+    safe radius on one axis, on the boundary of the safe box."""
+    name = draw(st.sampled_from(sorted(TestMatchesReference.BASES)))
+    base = TestMatchesReference.BASES[name]
+    rho = safe_radius_estimate(base)
+    k = base.hrep.num_facets
+    if draw(st.integers(0, 3)) == 0:
+        s = [F(0)] * k
+        s[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-rho, rho]))
+        return name, tuple(s)
+    primes = draw(st.permutations(PRIMES))[:k]
+    bounds = [int(2 * rho * p) for p in primes]
+    return name, tuple(F(draw(st.integers(-b, b)), p) for b, p in zip(bounds, primes))
+
+
+class TestIntegerMoves:
+    """Offsets moved in integers at one scale give what moving the Fraction
+    vertices and evaluating the Fraction slacks gives: the same vertices,
+    the same slacks (so the same signs), the same verdict of is_admissible
+    and the same member from perturb."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coprime_offsets())
+    @example(("square", (F(1, 3), F(-1, 7), F(2, 5), F(-1, 11))))
+    @example(("pentagon", (F(1, 30), 0, 0, 0, 0)))
+    @example(("pentagon", (0, 0, 0, F(-1, 30), 0)))
+    def test_matches_fractions(self, case):
+        name, s = case
+        base = TestMatchesReference.BASES[name]
+        moved, slacks, q = _moved(base, s)
+        want_moved, want_slacks = reference_moved(base, s)
+        assert [tuple(F(c, q) for c in v) for v in moved] == want_moved
+        assert [F(x, q) for x in slacks] == want_slacks
+        admissible = all(x > 0 for x in want_slacks)
+        assert is_admissible(base, s) == admissible
+        got = outcome(perturb, base, s)
+        assert got == outcome(reference_perturb, base, s)
+        if admissible:
+            assert got.vertices == tuple(sorted(want_moved))
+        else:
+            assert isinstance(got, str)
+
+
 class TestSafeRadius:
     def test_square_at_least_quarter(self, square):
         rho = safe_radius_estimate(square)
@@ -519,26 +571,45 @@ class TestScan:
             scan_segment(square, (0,) * 4, (2, 0, 0, 0), 4)
 
     def test_start_refused(self, square):
-        s1 = (2, 0, 0, 0)
-        with pytest.raises(ScanError) as info:
-            scan_segment(square, s1, (0,) * 4, 4)
-        assert str(info.value).startswith("inadmissible sample at t = 0: ")
-        assert str(info.value) == scan_outcome(reference_scan_segment, square, s1, (0,) * 4, 4)
+        # The last two start in thirds and end in sevenths, so the two ends'
+        # slacks have coprime scales: x >= 4/3 leaves nothing, and
+        # x >= 2/3 with x <= 2/3 leaves no interior.
+        for s1, s2 in [
+            ((2, 0, 0, 0), (0,) * 4),
+            ((F(4, 3), F(1, 3), 0, 0), (F(1, 7), 0, F(-2, 7), 0)),
+            ((F(2, 3), 0, F(1, 3), 0), (F(-1, 7), 0, 0, F(1, 7))),
+        ]:
+            with pytest.raises(ScanError) as info:
+                scan_segment(square, s1, s2, 4)
+            assert str(info.value).startswith("inadmissible sample at t = 0: ")
+            assert str(info.value) == scan_outcome(reference_scan_segment, square, s1, s2, 4)
 
     @pytest.mark.parametrize(
-        "s2, samples, t",
+        "s1, s2, samples, t",
         [
             # Only the end is refused: x >= t meets x <= 1 at t = 1.
-            ((1, 0, 0, 0), 4, "1"),
+            pytest.param((0,) * 4, (1, 0, 0, 0), 4, "1", id="s20-4-1"),
             # The end and the samples from t = 3/7 on: x >= 7t/3 meets x <= 1.
-            ((F(7, 3), 0, 0, 0), 7, "3/7"),
+            pytest.param((0,) * 4, (F(7, 3), 0, 0, 0), 7, "3/7", id="s21-7-3/7"),
+            # Ends in thirds and sevenths, so their slacks have coprime
+            # scales: x >= 1/3 + 20t/21 meets x <= 1 at t = 7/10.
+            pytest.param(
+                (F(1, 3), 0, 0, F(-1, 3)), (F(9, 7), 0, 0, F(2, 7)), 10, "7/10", id="thirds-sevenths-10"
+            ),
+            pytest.param(
+                (F(1, 3), 0, 0, F(-1, 3)), (F(9, 7), 0, 0, F(2, 7)), 7, "5/7", id="thirds-sevenths-7"
+            ),
+            # y >= 2/3 + 10t/21 meets y <= 1 at t = 7/10, between samples.
+            pytest.param(
+                (F(-1, 3), F(2, 3), 0, 0), (0, F(8, 7), F(3, 7), 0), 6, "5/6", id="thirds-sevenths-6"
+            ),
         ],
     )
-    def test_end_refused_names_first_t(self, square, s2, samples, t):
+    def test_end_refused_names_first_t(self, square, s1, s2, samples, t):
         with pytest.raises(ScanError) as info:
-            scan_segment(square, (0,) * 4, s2, samples)
+            scan_segment(square, s1, s2, samples)
         assert str(info.value).startswith(f"inadmissible sample at t = {t}: ")
-        assert str(info.value) == scan_outcome(reference_scan_segment, square, (0,) * 4, s2, samples)
+        assert str(info.value) == scan_outcome(reference_scan_segment, square, s1, s2, samples)
 
     def test_gap_refinement_halves(self, square):
         coarse = scan_segment(square, (0,) * 4, RECT_DIR, 8)
