@@ -80,25 +80,32 @@ class DelzantPolytope:
         return len(self.vertices)
 
     @cached_property
-    def frames(self) -> tuple[VertexFrame, ...]:
-        """The vertex frames.  Across active facet f of vertex i, the other
-        n - 1 active facets cut out the edge along d_f (v_i is on no other
-        facet), so its other end j is the one other vertex on them, found by
-        double description's adjacency test from all vertices (so that
-        n = 1, with no facet left, works).  So v_j - v_i = t d_f for the
-        edge length t, which :func:`_edge_lengths` reads off."""
+    def _edge_slots(self) -> tuple[tuple[tuple[int, ...], ...], list[int], int]:
+        """Each vertex's neighbours in frame order, the lattice lengths of
+        these edge slots over the scale Q, and Q.  Across active facet f of
+        vertex i, the other n - 1 active facets cut out the edge along d_f
+        (v_i is on no other facet), so its other end j is the one other
+        vertex on them, found by double description's adjacency test from
+        all vertices (so that n = 1, with no facet left, works).  So
+        v_j - v_i = t d_f for the edge length t, read off by
+        :func:`_edge_lengths`."""
         masks = [sum(1 << f for f in active) for active in self.incidence]
         on = _tight_columns(masks)
         everyone = (1 << len(masks)) - 1
-        neighbors = [
+        neighbors = tuple(
             tuple(
                 _third_positions(mask ^ (1 << f), 1 << i, on, everyone).bit_length() - 1
                 for f in self.incidence[i]
             )
             for i, mask in enumerate(masks)
-        ]
+        )
         verts, _, q = self._lattice
-        lengths = _edge_lengths(verts, self.directions, neighbors)
+        return neighbors, _edge_lengths(verts, self.directions, neighbors), q
+
+    @cached_property
+    def frames(self) -> tuple[VertexFrame, ...]:
+        """The vertex frames, from the integer edge slots."""
+        neighbors, lengths, q = self._edge_slots
         n = self.dim
         return tuple(
             VertexFrame(dirs, tuple(Fraction(t, q) for t in lengths[i * n:(i + 1) * n]), nbrs)
@@ -123,15 +130,19 @@ class DelzantPolytope:
         """The right-hand sides of the pairwise packing constraints:
         ``pair_bounds[i][j]`` is the edge length for adjacent vertices, the
         radius sum otherwise, and 0 on the diagonal."""
-        radii = self.corner_radii
-        bounds: list[tuple[Fraction, ...]] = []
-        for i, f in enumerate(self.frames):
-            row = [radii[i] + r for r in radii]
-            row[i] = Fraction(0)
-            for t, j in zip(f.lengths, f.neighbor_indices):
-                row[j] = t
-            bounds.append(tuple(row))
-        return tuple(bounds)
+        q = self._edge_slots[2]
+        return tuple(tuple(Fraction(b, q) for b in row) for row in self._bound_numerators())
+
+    def _bound_numerators(self) -> list[list[int]]:
+        """:attr:`pair_bounds` in integers over the scale Q of the edge slots."""
+        neighbors, lengths, _ = self._edge_slots
+        n = self.dim
+        radii = [min(lengths[i:i + n]) for i in range(0, len(lengths), n)]
+        slot = dict(zip(((i, j) for i, nbrs in enumerate(neighbors) for j in nbrs), lengths))
+        return [
+            [slot.get((i, j), (a + b) * (i != j)) for j, b in enumerate(radii)]
+            for i, a in enumerate(radii)
+        ]
 
     @cached_property
     def _lattice(self) -> tuple[list[IntVec], list[int], int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Any
@@ -47,6 +48,7 @@ def _is_int(value: Any) -> bool:
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+_escape = json.encoder.encode_basestring_ascii
 
 
 def _rational(value: Any, what: str) -> Fraction:
@@ -292,13 +294,18 @@ def pack_report(
 def _packing_rows(D: DelzantPolytope) -> dict[str, Any]:
     """D's packing polytope in R^V as :func:`hrep_to_json` writes it:
     x_i >= 0 for each vertex, then -x_i - x_j >= -pair_bounds[i][j] for
-    every pair i < j in lexicographic order, all normals primitive."""
-    V, b = D.num_vertices, D.pair_bounds
+    every pair i < j in lexicographic order, all normals primitive.  Each
+    offset is written from the bound's integer numerator over D's scale,
+    reduced by one gcd, as ``format_rat`` writes it."""
+    bounds, q = D._bound_numerators(), D._edge_slots[2]
+    V = len(bounds)
     rows = [{"normal": [int(k == i) for k in range(V)], "offset": "0"} for i in range(V)]
     for i, j in itertools.combinations(range(V), 2):
         normal = [0] * V
         normal[i] = normal[j] = -1
-        rows.append({"normal": normal, "offset": format_rat(-b[i][j])})
+        g = math.gcd(bounds[i][j], q)
+        offset = f"{-bounds[i][j] // g}/{q // g}" if g < q else str(-bounds[i][j] // g)
+        rows.append({"normal": normal, "offset": offset})
     return {"dim": V, "halfspaces": rows}
 
 
@@ -328,5 +335,30 @@ def scan_summary(res: ScanResult) -> dict[str, Any]:
 
 
 def dumps(doc: Any) -> str:
-    """Deterministic JSON rendering (stable key order by construction)."""
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\n"``, whose indent ``json`` writes
+    by its pure-Python encoder only, for dicts with string keys, lists,
+    tuples, strings, bools and ints; any other value raises TypeError."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """value's JSON text, its inner lines broken by ``newline`` and indented
+    2 more; strings are escaped by ``json``'s C routine."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        body = sep.join([_escape(k) + ": " + _encode(x, inner) for k, x in value.items()])
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        ints = set(map(type, value)) == {int}
+        body = sep.join(map(int.__repr__, value) if ints else [_encode(x, inner) for x in value])
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{body}{newline}{ends[1]}" if value else ends

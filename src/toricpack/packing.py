@@ -7,7 +7,7 @@ packed fraction of the volume is sum(x_i^n) / (n! vol), a strictly convex
 function for n >= 2, so its maximum over the feasible set is attained at
 vertices and the maximizers are finitely many.  Only the edges of D bind,
 so no route here builds the V + V(V-1)/2 rows of P; ``pack --json``
-prints them straight from ``pair_bounds``.
+prints them straight from the integer edge lengths.
 
 The maximizers are found without enumerating P, by one routine,
 :func:`_maxima`, for :func:`maximize` and for every sample of an offset
@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delzant import DelzantPolytope, _edge_lengths
-from .linalg import IntVec, Vec, as_vec
+from .delzant import DelzantPolytope
+from .linalg import IntVec, Vec, as_vec, gcd_primitive
 from .polytope import EmptyPolytopeError, HalfSpace, HPolytope, _cone_rays, _polytope_rays
 
 
@@ -60,18 +60,18 @@ class AdmissibleSimplex:
     hull: HPolytope
 
 
-def _binding(frames, num: list[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
+def _binding(neighbors, num: list[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The least length r_i at each vertex, and the binding edges (i, j, t),
     i < j, with t < r_i + r_j, in lexicographic order.  The lengths are
     num / q over any common q, one per edge slot: the neighbours of each
-    frame in turn."""
-    V = len(frames)
+    vertex in frame order, vertex by vertex."""
+    V = len(neighbors)
     n = len(num) // V
     r = [min(num[i * n:(i + 1) * n]) for i in range(V)]
     edges = sorted(
         (i, j, t)
-        for i, f in enumerate(frames)
-        for t, j in zip(num[i * n:(i + 1) * n], f.neighbor_indices)
+        for i, nbrs in enumerate(neighbors)
+        for t, j in zip(num[i * n:(i + 1) * n], nbrs)
         if i < j and t < r[i] + r[j]
     )
     return r, edges
@@ -83,15 +83,27 @@ def _maximal_rays(r: list[int], edges: list[tuple[int, int, int]], q: int) -> li
     no radius can grow alone; the recession rays -e_i (x0 = 0) are left
     out.  The least lengths r and the binding edges are those of
     :func:`_binding`, over the common denominator q.  The rows are
-    x0 >= 0, r_i x0 - q x_i >= 0, and l x0 - q (x_i + x_j) >= 0 on each
+    x0 >= 0, r_i x0 - q x_i >= 0, and t x0 - q (x_i + x_j) >= 0 on each
     binding edge (i, j) in order; the other edge rows are implied by
     x_i <= r_i.
+
+    Double description runs them in the slacks z_i = r_i x0 - q x_i, as
+    x0 >= 0, z >= 0 and z_i + z_j >= (r_i + r_j - t) x0: the invertible
+    linear map (x0; x) -> (x0; z) keeps every row's value, so it maps
+    extreme rays to extreme rays, and (x0; x) is the primitive form of
+    (q z0; r z0 - z).  Each row keeps its last nonzero coordinate, so the
+    insertion order is kept, and z_i >= 0 pivots on the unit vector of
+    z_i, on which every vector so far is 0: no vector changes.
     """
     V = len(r)
     rows = [(1,) + (0,) * V]
-    rows += [(r[i],) + tuple(-q * (k == i) for k in range(V)) for i in range(V)]
-    rows += [(t,) + tuple(-q * (k == i or k == j) for k in range(V)) for i, j, t in edges]
-    return [ray for ray in _cone_rays(rows, V + 1)[0] if ray[0]]
+    rows += [(0, *(int(k == i) for k in range(V))) for i in range(V)]
+    rows += [(t - r[i] - r[j], *(int(k in (i, j)) for k in range(V))) for i, j, t in edges]
+    return [
+        gcd_primitive((q * z0, *(c * z0 - z for c, z in zip(r, zs))))[0]
+        for z0, *zs in _cone_rays(rows, V + 1)[0]
+        if z0
+    ]
 
 
 def _certified(
@@ -172,10 +184,10 @@ def _ranked(rays, n: int) -> tuple[Fraction, list[IntVec]]:
     return Fraction(top, bottom), argmax
 
 
-def _maxima(frames, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec]]]:
+def _maxima(neighbors, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec]]]:
     """The largest sum(x_i^n) over the packing polytope at each sample
     k = 0..N, with the rays that attain it as for :func:`_ranked`.  Sample
-    k has these frames' edges, of lengths num / q for
+    k has the edge slots of these neighbours, of lengths num / q for
     ``lengths(k) = (num, q)`` as for :func:`_binding`, affine in k.
 
     Each sample reads its binding edges once, for both routes.  The
@@ -218,7 +230,7 @@ def _maxima(frames, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec
     """
     # Edge slot (i, j): the edge from vertex i to its neighbour j, in frame
     # order, so each edge has two slots; a key has a bit per fixed row.
-    slots = [(i, j) for i, f in enumerate(frames) for j in f.neighbor_indices]
+    slots = [(i, j) for i, nbrs in enumerate(neighbors) for j in nbrs]
     keyed: dict[int, dict[int, IntVec]] = {}
     ranked: list = [None] * (N + 1)
 
@@ -227,7 +239,7 @@ def _maxima(frames, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec
         its rays ranked and, with ``key``, keyed by their tight sets on the
         fixed rows: only the ends of a gap of at least 2 are compared."""
         num, q = lengths(k)
-        rays = _maximal_rays(*(binding or _binding(frames, num)), q)
+        rays = _maximal_rays(*(binding or _binding(neighbors, num)), q)
         ranked[k] = _ranked(rays, n)
         if key:
             keyed[k] = {}
@@ -260,7 +272,7 @@ def _maxima(frames, lengths, N: int, n: int) -> list[tuple[Fraction, list[IntVec
 
     for k in range(N + 1):
         num, q = lengths(k)
-        binding = _binding(frames, num)
+        binding = _binding(neighbors, num)
         ranked[k] = _certified(*binding, q, n)
         if ranked[k] is None:
             run_dd(k, N - k > 1, binding)
@@ -325,9 +337,8 @@ def maximize(D: DelzantPolytope) -> tuple[Fraction, tuple[Packing, ...]]:
       for every edge at j, and every point below P meets the rows.
     """
     n = D.dim
-    qverts, _, q = D._lattice
-    num = _edge_lengths(qverts, D.directions, [f.neighbor_indices for f in D.frames])
-    [(best, argmax)] = _maxima(D.frames, lambda k: (num, q), 0, n)
+    neighbors, num, q = D._edge_slots
+    [(best, argmax)] = _maxima(neighbors, lambda k: (num, q), 0, n)
     value = best / (math.factorial(n) * D.euclidean_volume)
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
     return value, tuple(Packing(v, value) for v in verts)

@@ -279,13 +279,12 @@ def scan_segment(
             -(-N * a * q1 // (a * q1 - b * q0)) for a, b in zip(slacks0, slacks1) if b <= 0
         ))
 
-    frames = base.frames
-    neighbors = [f.neighbor_indices for f in frames]
+    neighbors = base._edge_slots[0]
     ends = [(moved0, q0), (moved1, q1)]
     lengths = _sampled([(_edge_lengths(vs, base.directions, neighbors), q) for vs, q in ends], N)
     xi, denoms = _brion_terms(base.directions)
     heights = _sampled([([dot(xi, v) for v in vs], q) for vs, q in ends], N)
-    ranked = _maxima(frames, lengths, N, n)
+    ranked = _maxima(neighbors, lengths, N, n)
 
     num0, numN = lengths(0)[0], lengths(N)[0]
     vols = [_brion_volume(n, denoms, *heights(k)) for k in range(N + 1)]

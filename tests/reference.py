@@ -201,7 +201,8 @@ def reference_maximize(D: DelzantPolytope) -> tuple:
         t for i, f in enumerate(frames)
         for t in reference_edge_lengths(D.vertices, i, f.directions, f.neighbor_indices)
     )
-    [(best, argmax)] = _maxima(frames, lambda k: (num, q), 0, D.dim)
+    neighbors = [f.neighbor_indices for f in frames]
+    [(best, argmax)] = _maxima(neighbors, lambda k: (num, q), 0, D.dim)
     value = best / (math.factorial(D.dim) * reference_volume_brion(D))
     verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in argmax)
     return value, tuple(Packing(v, value) for v in verts)

@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference import build_packing_polytope
 from test_packing import BASES, admissible_offsets
 
@@ -181,3 +182,48 @@ class TestPackingRows:
     def test_offsets(self, drawn):
         name, s = drawn
         self.check(perturb(BASES[name], s))
+
+    def test_no_fraction_matrix(self):
+        # The rows come from the integer edge slots: neither the pair-bound
+        # matrix of Fractions nor the frames are built for the report.
+        D = make_cube(3)
+        pack_report(D, *maximize(D))
+        assert "pair_bounds" not in D.__dict__
+        assert "frames" not in D.__dict__
+
+
+# Strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII text and characters outside the basic plane.
+ESCAPED = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600a '))
+STRINGS = st.text() | ESCAPED
+BIG = st.integers(10**999, 10**1001)
+SCALARS = st.booleans() | st.integers() | BIG | BIG.map(lambda x: -x) | STRINGS
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(STRINGS, inner),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    """``dumps`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a
+    newline, for every document the reports can hold."""
+
+    @given(DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example({})
+    @example({"a": [[], {}, [1, -2, True, False], ("x", "\"\\\u00e9"), [0, "0"]]})
+    def test_equals_json(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", ["pentagon", "cube3"])
+    def test_reports(self, name):
+        D = BASES[name]
+        for doc in (info_report(D, name), pack_report(D, *maximize(D), name)):
+            assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, None, [1, None], {"x": 1.5}, {1: "a"}, {1, 2}])
+    def test_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)

@@ -104,11 +104,16 @@ def blocked_vertices(D):
     ]
 
 
+def neighbors(D):
+    """Each vertex's neighbours, in frame order."""
+    return [f.neighbor_indices for f in D.frames]
+
+
 def maximal_rays(D):
     """The rays that maximize ranks: those of the down-closure built from
     D's edge lengths over their common denominator."""
     num, q = common_denominator(t for f in D.frames for t in f.lengths)
-    return _maximal_rays(*_binding(D.frames, num), q)
+    return _maximal_rays(*_binding(neighbors(D), num), q)
 
 
 def down_closure_vertices(D):
@@ -274,14 +279,14 @@ class TestCertified:
         name, offsets = case
         D = perturb(CERTIFIED_BASES[name], offsets)
         num, q = common_denominator(t for f in D.frames for t in f.lengths)
-        binding = _binding(D.frames, num)
+        binding = _binding(neighbors(D), num)
         got = _certified(*binding, q, D.dim)
         if got is not None:
             assert ranked_points(got) == ranked_points(_ranked(_maximal_rays(*binding, q), D.dim))
 
     def test_interval_not_certified(self):
         D = make_simplex(1)
-        assert _certified(*_binding(D.frames, [1, 1]), 1, 1) is None
+        assert _certified(*_binding(neighbors(D), [1, 1]), 1, 1) is None
 
     @pytest.mark.parametrize(
         "D, dds",
@@ -339,13 +344,13 @@ class TestMaxima:
             packing_module, "_cone_rays", lambda *args: dds.append(args) or cone_rays(*args)
         )
         scan_segment(base, s1, s2, 8)
-        [(frames, lengths, N, n)] = calls
+        [(nbrs, lengths, N, n)] = calls
         num, q = lengths(0)
-        assert _certified(*_binding(frames, num), q, n) is None
+        assert _certified(*_binding(nbrs, num), q, n) is None
         assert len(dds) < N + 1
-        got = _maxima(frames, lengths, N, n)
+        got = _maxima(nbrs, lengths, N, n)
         for k in range(N + 1):
-            [want] = _maxima(frames, lambda _: lengths(k), 0, n)
+            [want] = _maxima(nbrs, lambda _: lengths(k), 0, n)
             assert ranked_points(got[k]) == ranked_points(want), k
 
 
